@@ -42,9 +42,6 @@ uint64_t HashOptions(uint64_t h, const PrepareOptions& o) {
   h = HashCombine(h, static_cast<uint64_t>(o.gcgt.level));
   h = HashCombine(h, static_cast<uint64_t>(o.gcgt.lanes));
   h = HashCombine(h, static_cast<uint64_t>(o.gcgt.warp_centric_min_residuals));
-  h = HashCombine(h, o.gcgt.replay_cache_bytes);
-  h = HashCombine(h, static_cast<uint64_t>(o.gcgt.replay_min_degree));
-  h = HashCombine(h, static_cast<uint64_t>(o.gcgt.replay_min_touches));
   h = HashCombine(h, o.gcgt.ooc_resident_bytes);
   h = HashCombine(h, o.gcgt.cost.cycles_per_step);
   h = HashCombine(h, o.gcgt.cost.cycles_per_decode_step);
@@ -52,7 +49,6 @@ uint64_t HashOptions(uint64_t h, const PrepareOptions& o) {
   h = HashCombine(h, o.gcgt.cost.cycles_per_shared_op);
   h = HashCombine(h, o.gcgt.cost.cycles_per_mem_txn);
   h = HashCombine(h, o.gcgt.cost.cycles_per_atomic);
-  h = HashCombine(h, o.gcgt.cost.cycles_per_replay_txn);
   h = HashCombine(h, o.gcgt.cost.cycles_per_intersect_op);
   h = HashCombine(h, static_cast<uint64_t>(o.gcgt.intersect_full_decode));
   h = HashCombine(h, o.gcgt.cost.external_latency_multiplier);
@@ -416,11 +412,10 @@ Result<QueryResult> GcgtSession::Run(const Query& query,
 
   // The intersection query families bypass the traversal pipeline entirely:
   // they run on the per-backend IntersectEngine, which does its own cancel
-  // polling, replay brownout and device-footprint admission.
+  // polling and device-footprint admission.
   if (translated.index() >= static_cast<size_t>(QueryKind::kTriangle)) {
-    Result<QueryResult> result = RunIntersect(translated, run.backend,
-                                              run.cancel,
-                                              run.replay_budget_cap);
+    Result<QueryResult> result =
+        RunIntersect(translated, run.backend, run.cancel);
     if (!result.ok()) return result;
     RemapResult(result.value());
     return result;
@@ -431,11 +426,6 @@ Result<QueryResult> GcgtSession::Run(const Query& query,
   // abort mid-flight. An aborted query leaves only per-query state behind —
   // the next query's Reset() clears it, keeping the session reusable.
   pipeline_->SetCancelToken(run.cancel);
-
-  // Brownout plumb-through: apply (or clear, for the default UINT64_MAX)
-  // this query's replay-budget cap before the pipeline Reset()s the cache.
-  // Cheap no-op for sessions whose artifacts have no replay budget.
-  engine_->SetReplayBudgetCap(run.replay_budget_cap);
 
   Result<QueryResult> result = [&]() -> Result<QueryResult> {
     switch (run.backend) {
@@ -546,8 +536,7 @@ std::span<const uint8_t> GcgtSession::RealMask() const {
 
 Result<QueryResult> GcgtSession::RunIntersect(const Query& query,
                                               Backend backend,
-                                              const CancelToken& cancel,
-                                              uint64_t replay_budget_cap) {
+                                              const CancelToken& cancel) {
   using intersect::IntersectEngine;
 
   if (backend == Backend::kCpuReference) {
@@ -597,7 +586,6 @@ Result<QueryResult> GcgtSession::RunIntersect(const Query& query,
       break;  // handled above
   }
   if (eng == nullptr) return Status::InvalidArgument("unknown backend");
-  eng->SetReplayBudgetCap(replay_budget_cap);
 
   auto wrap = [](auto r) -> Result<QueryResult> {
     if (!r.ok()) return r.status();

@@ -13,7 +13,6 @@
 #include "core/bc_filters.h"
 #include "core/cc_filter.h"
 #include "core/memory_layout.h"
-#include "core/replay_cache.h"
 #include "core/warp_centric.h"
 #include "ooc/partition_pager.h"
 #include "util/thread_pool.h"
@@ -90,28 +89,6 @@ struct Lane {
   uint32_t seg_next = 0;
 };
 
-/// A replay-cache admission in flight: the admitted node's adjacency is
-/// captured from its normal miss expansion (AppendStep sees every enumerated
-/// (u, v) pair exactly once), so admission never decodes on the host — not
-/// even a degree probe; the degree gate is applied to the captured size in
-/// the round epilogue. `claimed` lets exactly one warp bind the slot when
-/// the frontier holds the node more than once — the capture content is the
-/// full adjacency either way, so the winner does not matter for determinism.
-struct FillSlot {
-  std::atomic<bool> claimed{false};
-  // Set when a same-round repeat of the node is waiting to replay from this
-  // capture; the admission then copies instead of moving, so the slot's
-  // content survives even if the admitted entry is evicted this round.
-  bool has_late_hit = false;
-  std::vector<NodeId> adj;
-};
-/// Maps node -> its in-flight capture slot, dense by node id (nullptr =
-/// no admission in flight). Slots are owned by the engine's per-round pool
-/// (EngineScratch::slot_pool) and reused across rounds, so steady-state
-/// admission allocates nothing, and the per-chunk capture binding is one
-/// array read per node instead of a hash lookup.
-using FillMap = std::vector<FillSlot*>;
-
 /// Simulates one warp over one frontier chunk. An instance is reusable
 /// across chunks (one lives in each worker thread's scratch); all phase
 /// scratch buffers are members so the steady-state hot path allocates
@@ -153,7 +130,6 @@ class WarpSim {
     trace_ = trace;
     claim_filter_ = nullptr;
     claim_writer_ = nullptr;
-    BindFill(chunk);
     return Run(chunk);
   }
 
@@ -164,23 +140,8 @@ class WarpSim {
     trace_ = nullptr;
     claim_filter_ = &filter;
     claim_writer_ = &writer;
-    BindFill(chunk);
     return Run(chunk);
   }
-
-  /// Arms admission capture for subsequent Run* calls (nullptr disarms). The
-  /// array itself is never mutated by the sim; claimed slots' vectors are.
-  void SetFillMap(const FillMap* fill_map) { fill_map_ = fill_map; }
-
-  /// Expands replay-cache hits: each node's decoded adjacency streams from
-  /// the replay buffer (charged as replay_txns — one directory line plus the
-  /// dense 4B/edge data lines) straight into warp-wide append slots. No
-  /// decode slots, no bit-array reads. Always serial (cache decisions are
-  /// made in frontier order).
-  WarpStats RunReplay(std::span<const NodeId> chunk,
-                      const std::vector<NodeId>* const* adjs,
-                      FrontierFilter& filter, std::vector<NodeId>* out,
-                      StepTrace* trace);
 
  private:
   WarpStats Run(std::span<const NodeId> chunk);
@@ -236,23 +197,6 @@ class WarpSim {
     }
     ranges_.push_back(r);
   }
-  // Binds this chunk's admission-capture lanes: lane i points at its node's
-  // pending fill vector when this warp won the slot's claim. src_lane indexes
-  // the chunk, so AppendStep can route captures with one array lookup.
-  void BindFill(std::span<const NodeId> chunk) {
-    fill_active_ = false;
-    if (fill_map_ == nullptr) return;
-    lane_fill_.assign(static_cast<size_t>(o_.lanes), nullptr);
-    for (size_t i = 0; i < chunk.size(); ++i) {
-      FillSlot* slot = (*fill_map_)[chunk[i]];
-      if (slot != nullptr &&
-          !slot->claimed.exchange(true, std::memory_order_relaxed)) {
-        lane_fill_[i] = &slot->adj;
-        fill_active_ = true;
-      }
-    }
-  }
-
   // One visited-check/append slot over `items`. Does not clear the storage;
   // callers reuse and clear their own buffers.
   void AppendStep(std::span<AppendItem> items);
@@ -269,11 +213,6 @@ class WarpSim {
   // accesses with one array lookup (see simt::DenseRegionFilter).
   simt::DenseRegionFilter label_filter_;
   simt::DenseRegionFilter offset_filter_;
-
-  // Admission capture (see FillSlot): armed by the engine per round.
-  const FillMap* fill_map_ = nullptr;
-  std::vector<std::vector<NodeId>*> lane_fill_;
-  bool fill_active_ = false;
 
   // Per-run bindings (exactly one of filter_/claim_writer_ is set).
   FrontierFilter* filter_ = nullptr;
@@ -316,16 +255,6 @@ void WarpSim::AppendStep(std::span<AppendItem> items) {
   if (trace_ != nullptr) {
     trace_->BeginStep(TraceOp::kAppend);
     for (const auto& it : items) trace_->Lane(it.exec_lane, ItemLabel(it));
-  }
-  if (fill_active_) {
-    // Admission capture: every enumerated (u, v) funnels through here once,
-    // in the owning lane's emission order, so the pending fill receives the
-    // node's full adjacency as a free side effect of the miss expansion.
-    for (const auto& it : items) {
-      if (std::vector<NodeId>* fv = lane_fill_[it.src_lane]) {
-        fv->push_back(it.v);
-      }
-    }
   }
   // Visited/label gather for the filtering check. Label words are 4-byte
   // aligned in a dense region (one line holds line_bytes/4 consecutive
@@ -583,76 +512,6 @@ void WarpSim::ByteCodecPhase(std::span<const NodeId> chunk) {
     flush(false);
   }
   flush(true);
-}
-
-WarpStats WarpSim::RunReplay(std::span<const NodeId> chunk,
-                             const std::vector<NodeId>* const* adjs,
-                             FrontierFilter& filter, std::vector<NodeId>* out,
-                             StepTrace* trace) {
-  // The hot path of the replay win: no decode slots, no AppendItem staging,
-  // no per-item label gather — one tight filter/append loop per edge, with
-  // the warp-wide slot charges reconstructed arithmetically afterwards. The
-  // charges are a pure function of (chunk, adjacency, accept count), so the
-  // stats stay deterministic and thread-count invariant. Replay rows price
-  // adjacency reads as replay_txns; label traffic is represented by the
-  // filter's atomics and the queue-append lines. Per-step traces are not
-  // emitted (Fig. 4 trace runs use replay-off configs).
-  (void)trace;
-  assert(chunk.size() <= static_cast<size_t>(o_.lanes));
-  ctx_.Step(static_cast<int>(chunk.size()));
-  ctx_.MemAccessRange(kQueueBase, 4ull * chunk.size());
-
-  const uint64_t line = static_cast<uint64_t>(o_.cost.cache_line_bytes);
-  uint64_t rtxns = 0;
-  uint64_t edges = 0;
-  const size_t tail0 = out->size();
-
-  auto expand = [&](auto& f) {
-    for (size_t i = 0; i < chunk.size(); ++i) {
-      const std::vector<NodeId>& adj = *adjs[i];
-      const NodeId u = chunk[i];
-      // One directory-slot line + the dense 4B/edge data lines.
-      rtxns += 1 + (4ull * adj.size() + line - 1) / line;
-      edges += adj.size();
-      for (NodeId v : adj) {
-        if (f.Filter(u, v)) out->push_back(f.AppendTarget(u, v));
-      }
-    }
-    if (int extra = f.TakeAtomics(); extra > 0) ctx_.Atomic(extra);
-  };
-  switch (filter.kind()) {
-    case FrontierFilter::Kind::kBfs:
-      expand(static_cast<BfsFilter&>(filter));
-      break;
-    case FrontierFilter::Kind::kCc:
-      expand(static_cast<CcFilter&>(filter));
-      break;
-    case FrontierFilter::Kind::kBcForward:
-      expand(static_cast<BcForwardFilter&>(filter));
-      break;
-    case FrontierFilter::Kind::kBcBackward:
-      expand(static_cast<BcBackwardFilter&>(filter));
-      break;
-    default:
-      expand(filter);
-      break;
-  }
-
-  // Append slots at `lanes` items per round: one shared-memory scan and one
-  // queue-tail atomic per slot, exactly like AppendStep charges them.
-  for (uint64_t done = 0; done < edges; done += o_.lanes) {
-    ctx_.AppendStepOp(
-        static_cast<int>(std::min<uint64_t>(o_.lanes, edges - done)));
-    ctx_.SharedOp();
-    ctx_.Atomic(1);
-  }
-  if (out->size() > tail0) {
-    ctx_.MemAccessRange(kQueueBase + 4ull * tail0,
-                        4ull * (out->size() - tail0));
-  }
-  ctx_.ReplayHits(chunk.size());
-  ctx_.ReplayTxns(rtxns);
-  return ctx_.TakeStats();
 }
 
 // ---------------------------------------------------------------------------
@@ -1366,23 +1225,6 @@ struct EngineScratch {
     for (size_t t = 0; t < pool->num_threads(); ++t) {
       workers.push_back(std::make_unique<WorkerState>(g, o));
     }
-    replay.Configure(o.replay_cache_bytes, o.replay_min_degree,
-                     o.replay_min_touches, g.num_nodes());
-    if (replay.enabled()) {
-      pending_fill.assign(g.num_nodes(), nullptr);
-      // Apply the degree gate once here (prepare time) instead of per
-      // capture: gated nodes never register, so queries pay zero admission
-      // bookkeeping for them. On a real GPU the degrees come off the CSR
-      // offset array for free; here one decode sweep at prepare amortizes
-      // across every query on the session.
-      if (o.replay_min_degree > 1) {
-        const uint64_t min_degree =
-            static_cast<uint64_t>(o.replay_min_degree);
-        for (NodeId u = 0; u < g.num_nodes(); ++u) {
-          if (g.EncodedDegree(u) < min_degree) replay.RejectForever(u);
-        }
-      }
-    }
     if (g.partitioned() && o.ooc_resident_bytes > 0) {
       pager.Configure(g.partitions(), o.ooc_resident_bytes,
                       o.cost.cache_line_bytes);
@@ -1393,44 +1235,10 @@ struct EngineScratch {
   std::vector<std::unique_ptr<WorkerState>> workers;
   std::vector<ChunkRecord> records;
   WarpSim serial_sim;
-  // Decoded-adjacency replay cache + per-round hit/miss partition (reused
-  // across rounds; capacity persists). All replay decisions happen serially
-  // in frontier order in ProcessFrontier's prologue.
-  ReplayCache replay;
   // Out-of-core partition pager (disabled unless the graph is partitioned
   // and a resident budget is set). Driven serially in frontier order by
-  // ProcessFrontier's prologue, like the replay cache.
+  // ProcessFrontier's prologue.
   ooc::PartitionPager pager;
-  std::vector<NodeId> replay_nodes;
-  std::vector<NodeId> miss_nodes;
-  std::vector<const std::vector<NodeId>*> replay_adjs;
-  // Admissions in flight this round (filled by AppendStep capture during the
-  // miss expansion, admitted in ProcessFrontier's epilogue in frontier
-  // order). fill_nodes keeps the deterministic admission order; late_nodes
-  // are same-round repeats of admission candidates, served from the capture.
-  FillMap pending_fill;
-  std::vector<NodeId> fill_nodes;
-  std::vector<NodeId> late_nodes;
-  std::vector<const std::vector<NodeId>*> late_adjs;
-
-  /// Reusable FillSlot arena: slots keep their adj capacity across rounds,
-  /// so a round's admissions cost one claimed-flag store and a clear() each.
-  FillSlot* AcquireSlot() {
-    if (slots_used == slot_pool.size()) {
-      slot_pool.push_back(std::make_unique<FillSlot>());
-    }
-    FillSlot* slot = slot_pool[slots_used++].get();
-    slot->claimed.store(false, std::memory_order_relaxed);
-    slot->has_late_hit = false;
-    slot->adj.clear();
-    return slot;
-  }
-  void ReleaseSlots() {
-    for (NodeId u : fill_nodes) pending_fill[u] = nullptr;
-    slots_used = 0;
-  }
-  std::vector<std::unique_ptr<FillSlot>> slot_pool;
-  size_t slots_used = 0;
 };
 
 }  // namespace internal
@@ -1451,18 +1259,6 @@ CgrTraversalEngine::CgrTraversalEngine(const CgrGraph& graph,
 
 CgrTraversalEngine::~CgrTraversalEngine() = default;
 
-void CgrTraversalEngine::ResetReplay() const {
-  if (scratch_) scratch_->replay.Reset();
-}
-
-void CgrTraversalEngine::SetReplayBudgetCap(uint64_t cap_bytes) const {
-  replay_cap_ = cap_bytes;
-  if (scratch_) {
-    scratch_->replay.SetCapacity(
-        std::min(options_.replay_cache_bytes, replay_cap_));
-  }
-}
-
 void CgrTraversalEngine::ResetPager() const {
   if (scratch_) scratch_->pager.Reset();
 }
@@ -1474,12 +1270,6 @@ uint64_t CgrTraversalEngine::PagerResidentPeak() const {
 internal::EngineScratch& CgrTraversalEngine::Scratch() const {
   if (!scratch_) {
     scratch_ = std::make_unique<internal::EngineScratch>(graph_, options_);
-    if (replay_cap_ < options_.replay_cache_bytes) {
-      // The scratch Configure()s the replay cache at the full configured
-      // budget (the per-node state arrays size off enablement there); a
-      // pre-existing brownout cap then only bounds the capacity.
-      scratch_->replay.SetCapacity(replay_cap_);
-    }
   }
   return *scratch_;
 }
@@ -1493,75 +1283,16 @@ void CgrTraversalEngine::ProcessFrontier(std::span<const NodeId> frontier,
   const size_t lanes = static_cast<size_t>(options_.lanes);
   internal::EngineScratch& scratch = Scratch();
 
-  // Replay prologue (serial, frontier order): partition the frontier into
-  // replay hits and misses, make this round's admission decisions, and
-  // expand the hits from the replay buffer. Hits run before misses, so the
-  // round's append order is (hits in frontier order, then misses in frontier
-  // order) — deterministic and thread-count independent, since everything
-  // here is serial and the miss frontier then flows through the standard
-  // serial/parallel machinery below.
-  std::span<const NodeId> work = frontier;
-  const bool replay_on = scratch.replay.enabled();
-  if (replay_on) {
-    scratch.replay_nodes.clear();
-    scratch.miss_nodes.clear();
-    scratch.replay_adjs.clear();
-    scratch.fill_nodes.clear();
-    scratch.late_nodes.clear();
-    scratch.late_adjs.clear();
-    for (NodeId u : frontier) {
-      if (const std::vector<NodeId>* adj = scratch.replay.Touch(u)) {
-        scratch.replay_nodes.push_back(u);
-        scratch.replay_adjs.push_back(adj);
-        continue;
-      }
-      // A repeat of a node already registered for admission this round: its
-      // adjacency will be captured by the first occurrence's expansion, so
-      // the duplicate replays from that capture in the epilogue instead of
-      // decoding again ("late hit").
-      if (FillSlot* slot = scratch.pending_fill[u]) {
-        slot->has_late_hit = true;
-        scratch.late_nodes.push_back(u);
-        continue;
-      }
-      // Admission: the node expands as a miss this round and its (u, v)
-      // pairs are captured from that expansion into pending_fill — no second
-      // decode, not even a degree probe (the degree gate runs against the
-      // captured size in the epilogue). Hits start next round.
-      if (scratch.replay.WantsAdmit(u)) {
-        scratch.pending_fill[u] = scratch.AcquireSlot();
-        scratch.fill_nodes.push_back(u);
-      }
-      scratch.miss_nodes.push_back(u);
-    }
-    for (size_t off = 0; off < scratch.replay_nodes.size(); off += lanes) {
-      const size_t n =
-          std::min<size_t>(lanes, scratch.replay_nodes.size() - off);
-      warp_stats->push_back(scratch.serial_sim.RunReplay(
-          std::span<const NodeId>(scratch.replay_nodes).subspan(off, n),
-          scratch.replay_adjs.data() + off, filter, out_frontier, trace));
-    }
-    if (scratch.miss_nodes.empty()) return;
-    work = scratch.miss_nodes;
-    if (!scratch.fill_nodes.empty()) {
-      scratch.serial_sim.SetFillMap(&scratch.pending_fill);
-      for (auto& w : scratch.workers) w->sim.SetFillMap(&scratch.pending_fill);
-    }
-  }
-
   // Pager prologue (serial, frontier order): fault in every partition this
   // round's expansion will decode from, pinning it so the round's own
   // working set can't evict itself. The external-tier traffic is charged as
-  // one standalone maintenance WarpStats entry (like the replay-fill entry):
-  // faults and spills are not any warp's decode work, and a dedicated entry
-  // keeps the in-core mem_txns semantics untouched — which is what keeps
-  // results and all pre-existing charges bit-identical to the in-core run.
-  // Replay hits above bypass the pager by design: they expand from the
-  // decoded replay buffer, which is device-resident, not from the encoded
-  // partition bytes.
+  // one standalone maintenance WarpStats entry: faults and spills are not
+  // any warp's decode work, and a dedicated entry keeps the in-core mem_txns
+  // semantics untouched — which is what keeps results and all pre-existing
+  // charges bit-identical to the in-core run.
   if (scratch.pager.enabled()) {
     simt::WarpStats page;
-    for (NodeId u : work) {
+    for (NodeId u : frontier) {
       const ooc::PartitionPager::Touch t = scratch.pager.TouchNode(u);
       page.partition_faults += t.faults;
       page.partition_spills += t.spills;
@@ -1573,59 +1304,7 @@ void CgrTraversalEngine::ProcessFrontier(std::span<const NodeId> frontier,
     warp_stats->push_back(page);
   }
 
-  // Runs after the miss expansion on every exit path: gates and admits the
-  // captured adjacencies (frontier order, so LRU state stays deterministic),
-  // charges the fill writes as a standalone cache-maintenance stats entry —
-  // fills and evictions are not any warp's decode work, and a dedicated
-  // entry keeps mem_txns semantics untouched — then expands this round's
-  // late hits from the captures.
-  auto finish_fills = [&]() {
-    if (!replay_on || scratch.fill_nodes.empty()) return;
-    scratch.serial_sim.SetFillMap(nullptr);
-    for (auto& w : scratch.workers) w->sim.SetFillMap(nullptr);
-    uint64_t fill_txns = 0;
-    uint64_t evictions = 0;
-    const uint64_t line = static_cast<uint64_t>(options_.cost.cache_line_bytes);
-    for (NodeId u : scratch.fill_nodes) {
-      FillSlot& slot = *scratch.pending_fill[u];
-      if (!scratch.replay.MeetsDegreeGate(slot.adj.size())) {
-        scratch.replay.Reject(u);
-        continue;
-      }
-      // The captured vector moves into the cache (no copy), except when a
-      // same-round late hit still needs the slot's content — the admitted
-      // entry could be evicted by a later admission this very round.
-      const uint64_t degree = slot.adj.size();
-      ReplayCache::AdmitResult r = scratch.replay.Admit(
-          u, slot.has_late_hit ? std::vector<NodeId>(slot.adj)
-                               : std::move(slot.adj));
-      if (r.admitted) {
-        fill_txns += 1 + (4ull * degree + line - 1) / line;
-        evictions += r.evictions;
-      }
-    }
-    if (fill_txns > 0 || evictions > 0) {
-      simt::WarpStats maint;
-      maint.replay_txns = fill_txns;
-      maint.replay_evictions = evictions;
-      warp_stats->push_back(maint);
-    }
-    // Late hits: repeats of this round's admission candidates, expanded from
-    // the captured adjacency after the misses (deterministic order; the
-    // has_late_hit copy above guarantees the slot content is intact).
-    for (NodeId u : scratch.late_nodes) {
-      scratch.late_adjs.push_back(&scratch.pending_fill[u]->adj);
-    }
-    for (size_t off = 0; off < scratch.late_nodes.size(); off += lanes) {
-      const size_t n = std::min<size_t>(lanes, scratch.late_nodes.size() - off);
-      warp_stats->push_back(scratch.serial_sim.RunReplay(
-          std::span<const NodeId>(scratch.late_nodes).subspan(off, n),
-          scratch.late_adjs.data() + off, filter, out_frontier, trace));
-    }
-    scratch.ReleaseSlots();
-  };
-
-  const size_t num_chunks = (work.size() + lanes - 1) / lanes;
+  const size_t num_chunks = (frontier.size() + lanes - 1) / lanes;
 
   // Serial reference path: one chunk at a time, filter decisions inline.
   // Taken for single-threaded configs, StepTrace recording (trace steps of
@@ -1634,12 +1313,11 @@ void CgrTraversalEngine::ProcessFrontier(std::span<const NodeId> frontier,
   const bool serial = options_.num_threads == 1 || trace != nullptr ||
                       num_chunks == 1 || scratch.pool->num_threads() == 1;
   if (serial) {
-    for (size_t off = 0; off < work.size(); off += lanes) {
-      size_t n = std::min<size_t>(lanes, work.size() - off);
+    for (size_t off = 0; off < frontier.size(); off += lanes) {
+      size_t n = std::min<size_t>(lanes, frontier.size() - off);
       warp_stats->push_back(scratch.serial_sim.RunSerial(
-          work.subspan(off, n), filter, out_frontier, trace));
+          frontier.subspan(off, n), filter, out_frontier, trace));
     }
-    finish_fills();
     return;
   }
 
@@ -1656,7 +1334,7 @@ void CgrTraversalEngine::ProcessFrontier(std::span<const NodeId> frontier,
         internal::WorkerState& ws = *scratch.workers[worker];
         for (size_t ci = begin; ci < end; ++ci) {
           const size_t off = ci * lanes;
-          const size_t n = std::min<size_t>(lanes, work.size() - off);
+          const size_t n = std::min<size_t>(lanes, frontier.size() - off);
           internal::ChunkRecord& rec = scratch.records[ci];
           rec.worker = static_cast<uint32_t>(worker);
           rec.chunk_size = static_cast<uint32_t>(n);
@@ -1664,7 +1342,7 @@ void CgrTraversalEngine::ProcessFrontier(std::span<const NodeId> frontier,
           rec.batch_begin = ws.arena.batch_ends.size();
           ClaimBatchWriter writer(ws.arena, static_cast<uint64_t>(ci) << 32);
           rec.stats =
-              ws.sim.RunEnumerate(work.subspan(off, n), filter, writer);
+              ws.sim.RunEnumerate(frontier.subspan(off, n), filter, writer);
           rec.batch_end = ws.arena.batch_ends.size();
         }
       });
@@ -1710,7 +1388,6 @@ void CgrTraversalEngine::ProcessFrontier(std::span<const NodeId> frontier,
     }
     warp_stats->push_back(rec.stats);
   }
-  finish_fills();
 }
 
 }  // namespace gcgt

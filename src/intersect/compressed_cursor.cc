@@ -69,15 +69,12 @@ RunCursor RunCursor::Compressed(const CgrGraph& g, NodeId u,
 }
 
 RunCursor RunCursor::Decoded(std::span<const NodeId> elems, uint64_t base_addr,
-                             bool charge_reads, bool coalesce,
                              CursorCharges* ch) {
   RunCursor c;
   c.mode_ = Mode::kDecoded;
   c.ch_ = ch;
   c.elems_ = elems;
   c.base_addr_ = base_addr;
-  c.charge_reads_ = charge_reads;
-  c.coalesce_ = coalesce;
   c.done_ = false;
   c.FetchNextRun(false, 0);
   return c;
@@ -177,16 +174,9 @@ void RunCursor::FetchNextRun(bool target_set, NodeId target) {
       done_ = true;
       return;
     }
-    lo_ = elems_[pos_];
-    size_t end = pos_ + 1;
-    if (coalesce_) {
-      while (end < elems_.size() && elems_[end] == elems_[end - 1] + 1) ++end;
-    }
-    hi_ = elems_[end - 1];
-    if (charge_reads_) {
-      ch_->ctx->MemAccessRange(base_addr_ + 4ull * pos_, 4ull * (end - pos_));
-    }
-    pos_ = end;
+    lo_ = hi_ = elems_[pos_];
+    ch_->ctx->MemAccessRange(base_addr_ + 4ull * pos_, 4);
+    ++pos_;
     return;
   }
 
@@ -208,21 +198,15 @@ void RunCursor::FetchNextRun(bool target_set, NodeId target) {
 
 void RunCursor::SkipToAtLeast(NodeId target) {
   if (mode_ == Mode::kDecoded) {
-    // The current (already fetched) run may reach the target: pos_ sits
-    // PAST its elements, so galloping would silently drop them. Truncate it
-    // to its >= target suffix instead.
-    if (!done_ && hi_ >= target) {
-      if (lo_ < target) lo_ = target;
-      return;
-    }
+    // The current (already fetched) element may be the target: pos_ sits
+    // PAST it, so galloping would silently drop it.
+    if (!done_ && hi_ >= target) return;
     // Gallop from pos_: exponential probes to bracket the target, then a
-    // binary search, charging one op (and, when charge_reads_, one 4-byte
-    // probe read) per comparison.
+    // binary search, charging one op and one 4-byte probe read per
+    // comparison.
     auto probe = [&](size_t i) {
       ch_->ops += 1;
-      if (charge_reads_) {
-        ch_->ctx->MemAccessRange(base_addr_ + 4ull * i, 4);
-      }
+      ch_->ctx->MemAccessRange(base_addr_ + 4ull * i, 4);
       return elems_[i];
     };
     size_t lo_idx = pos_;

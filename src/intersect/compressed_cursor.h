@@ -59,8 +59,8 @@ struct CursorCharges {
 
 /// One side of an intersection: ascending disjoint runs over one adjacency
 /// list. Construct via Compressed() (decode-free over the encoded graph) or
-/// Decoded() (over an already-materialized sorted list: replay-cache hit,
-/// full-decode scratch, CSR columns).
+/// Decoded() (over an already-materialized sorted list: full-decode scratch,
+/// CSR columns).
 class RunCursor {
  public:
   RunCursor() = default;
@@ -70,13 +70,11 @@ class RunCursor {
   static RunCursor Compressed(const CgrGraph& g, NodeId u, CursorCharges* ch);
 
   /// Cursor over a decoded sorted list. `base_addr` is the nominal device
-  /// address of elems[0]; when `charge_reads` every element touch is charged
-  /// as a 4-byte read there (CSR columns / decode scratch). `coalesce` folds
-  /// consecutive ids into one run (the replay path keeps the interval
-  /// structure's merge advantage); without it every element is a unit run
+  /// address of elems[0]; every element touch is charged as a 4-byte read
+  /// there (CSR columns / decode scratch), and every element is a unit run
   /// (the element-wise baseline merge).
   static RunCursor Decoded(std::span<const NodeId> elems, uint64_t base_addr,
-                           bool charge_reads, bool coalesce, CursorCharges* ch);
+                           CursorCharges* ch);
 
   bool done() const { return done_; }
   NodeId lo() const { return lo_; }
@@ -153,8 +151,6 @@ class RunCursor {
   std::span<const NodeId> elems_;
   size_t pos_ = 0;
   uint64_t base_addr_ = 0;
-  bool charge_reads_ = false;
-  bool coalesce_ = false;
 };
 
 }  // namespace gcgt::intersect

@@ -28,14 +28,12 @@
 // (lanes codewords per slot), intersection steps are the dedicated
 // intersect_txns class (CostModel::cycles_per_intersect_op), and compressed
 // byte reads go through the warp's LineSet so intra-warp L1 reuse dedups
-// them. Hot endpoints are served from the engine's own decoded-adjacency
-// replay cache (same admission gates and charge class as traversal replay).
+// them.
 //
 // Determinism contract: all warps execute serially in a fixed order (vertex
-// id ascending; pair sides in call order), the replay cache is reset at
-// every query start, and kernel makespans schedule per-warp cycle vectors in
-// submission order — results AND metrics depend only on (graph, options,
-// query).
+// id ascending; pair sides in call order) and kernel makespans schedule
+// per-warp cycle vectors in submission order — results AND metrics depend
+// only on (graph, options, query).
 #ifndef GCGT_INTERSECT_INTERSECT_ENGINE_H_
 #define GCGT_INTERSECT_INTERSECT_ENGINE_H_
 
@@ -45,7 +43,6 @@
 
 #include "cgr/cgr_graph.h"
 #include "core/gcgt_options.h"
-#include "core/replay_cache.h"
 #include "graph/graph.h"
 #include "intersect/compressed_cursor.h"
 #include "intersect/intersect_results.h"
@@ -68,11 +65,6 @@ class IntersectEngine {
   /// overhead), so it OOMs earlier — mirroring the CSR traversal baselines.
   IntersectEngine(const Graph& graph, const GcgtOptions& options, bool gunrock,
                   double gunrock_memory_factor);
-
-  /// Serving-tier brownout: caps the replay budget for subsequent queries at
-  /// min(configured replay_cache_bytes, cap). UINT64_MAX = no cap. Results
-  /// are unchanged; only replay metrics (and the modeled footprint) move.
-  void SetReplayBudgetCap(uint64_t cap) { replay_cap_ = cap; }
 
   /// Global + per-vertex triangle count (one warp per vertex u; each
   /// neighbor pair v > u intersects N(u) x N(v) above v).
@@ -103,23 +95,20 @@ class IntersectEngine {
   enum class Mode { kCgr, kCsr };
 
   NodeId NumNodes() const;
-  uint64_t ReplayBudget() const;
-  bool replay_on() const;
-  /// Per-query prologue: cancel/fault checks, replay reset + brownout cap,
-  /// device-footprint admission (`extra_bytes` = query-specific arrays).
+  /// Per-query prologue: cancel/fault checks and device-footprint admission
+  /// (`extra_bytes` = query-specific arrays).
   Status BeginQuery(const CancelToken& cancel, uint64_t extra_bytes,
                     uint64_t* device_bytes);
   /// Converts the task's accumulated codewords into lanes-wide DecodeStep
   /// slots and its ops into intersect_txns, then closes the warp.
   simt::WarpStats FinishWarp(CursorCharges* ch);
-  /// Materializes N(x) (replay-aware in decode-free mode), charging a full
-  /// pass over the compressed stream on a miss. Returns a span into
-  /// `backing` or into the replay cache's entry.
+  /// Materializes N(x), charging a full pass over the compressed stream.
+  /// Returns a span into `backing` (CGR) or the CSR columns.
   std::span<const NodeId> MaterializeList(NodeId x, CursorCharges* ch,
                                           std::vector<NodeId>* backing);
   /// One intersection side over N(x), charged per the engine mode.
-  /// `backing`/`scratch_base` hold the decoded copy in the full-decode and
-  /// replay-admission paths; each concurrent side needs its own.
+  /// `backing`/`scratch_base` hold the decoded copy in the full-decode path;
+  /// each concurrent side needs its own.
   RunCursor SideCursor(NodeId x, CursorCharges* ch,
                        std::vector<NodeId>* backing, uint64_t scratch_base);
   /// Degree of x, charged as an encoded-header read (2 codewords + the
@@ -133,12 +122,9 @@ class IntersectEngine {
   bool full_decode_ = false;
   bool gunrock_ = false;
   double gunrock_factor_ = 1.0;
-  uint64_t replay_cap_ = UINT64_MAX;
-  bool replay_configured_ = false;
-  ReplayCache replay_;
   simt::WarpContext ctx_;
   simt::KernelTimeline timeline_;
-  // Per-side decode scratch (full-decode baseline and replay admission).
+  // Per-side decode scratch (full-decode baseline).
   std::vector<NodeId> scratch_a_;
   std::vector<NodeId> scratch_b_;
   std::vector<NodeId> list_scratch_;

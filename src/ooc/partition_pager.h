@@ -6,13 +6,13 @@
 // the current round are never its own eviction victims.
 //
 // Determinism contract (DESIGN.md): the pager is driven serially in frontier
-// order by the engine's prologue, exactly like the replay cache — so the
-// fault/spill sequence, all counters, and the eviction order are a pure
-// function of the graph, the options, and the query, bit-identical across
-// thread counts. The pager is a *modeled* overlay: the encoded bits stay in
-// host RAM and decode behaves identically; what the pager changes is the
-// device-budget accounting (TraversalPipeline counts only the resident
-// budget) and the external-tier charges in WarpStats.
+// order by the engine's prologue, so the fault/spill sequence, all counters,
+// and the eviction order are a pure function of the graph, the options, and
+// the query, bit-identical across thread counts. The pager is a *modeled*
+// overlay: the encoded bits stay in host RAM and decode behaves identically;
+// what the pager changes is the device-budget accounting (TraversalPipeline
+// counts only the resident budget) and the external-tier charges in
+// WarpStats.
 #ifndef GCGT_OOC_PARTITION_PAGER_H_
 #define GCGT_OOC_PARTITION_PAGER_H_
 
@@ -92,8 +92,7 @@ class PartitionPager {
     } else {
       const uint64_t bytes = partitions_[p].num_bytes();
       t.faults = 1;
-      // One line for the partition-directory lookup plus the payload,
-      // mirroring the replay cache's fill pricing.
+      // One line for the partition-directory lookup plus the payload.
       t.fault_txns = 1 + (bytes + line_bytes_ - 1) / line_bytes_;
       // Evict back-most unpinned partitions until the fault fits. When only
       // pinned partitions remain the resident set overcommits (this round's

@@ -431,7 +431,7 @@ void GcgtService::WorkerLoop(int worker_index) {
 Result<QueryResult> GcgtService::Attempt(WorkerSession& ws,
                                          const ServiceQuery& query,
                                          const CancelToken& run_token,
-                                         uint64_t replay_cap, bool& degraded) {
+                                         bool& degraded) {
   degraded = false;
   // Exception containment: ANYTHING a serve attempt throws — including the
   // injected fault below, which deliberately exercises this path — becomes
@@ -443,7 +443,6 @@ Result<QueryResult> GcgtService::Attempt(WorkerSession& ws,
     RunOptions run;
     run.backend = query.backend;
     run.cancel = run_token;
-    run.replay_budget_cap = replay_cap;
     Result<QueryResult> result = ws.session.Run(query.query, run);
     if (!result.ok() && result.status().IsOutOfMemory() &&
         options_.enable_oom_fallback &&
@@ -506,7 +505,6 @@ void GcgtService::Serve(int worker_index,
       state.query.cancel.WithLinkedSource(state.attempt_cancel[job.attempt]);
 
   bool degraded = false;
-  bool replay_capped = false;
   FailCause cause = FailCause::kRun;
   Result<QueryResult> result = [&]() -> Result<QueryResult> {
     // Expiry/abort between pop and serve (queue sweeps catch most expiries
@@ -557,26 +555,12 @@ void GcgtService::Serve(int worker_index,
       return Status::Unavailable("circuit breaker open for this artifact");
     }
 
-    // Brownout: cap this run's replay-cache budget. Sampled once per serve
-    // so the cap and the cache-insert skip below always agree.
-    uint64_t replay_cap = UINT64_MAX;
-    if (brownout_active_.load(std::memory_order_acquire)) {
-      const uint64_t budget =
-          it->second.artifact->options().gcgt.replay_cache_bytes;
-      if (budget > 0) {
-        replay_cap = static_cast<uint64_t>(static_cast<double>(budget) *
-                                           options_.qos.brownout_shrink);
-        replay_capped = true;
-      }
-    }
-
     // Attempt loop: only TRANSIENT failures (Internal) retry, with capped
     // exponential backoff. Client errors, OOM verdicts (the fallback already
     // ran inside Attempt) and caller aborts return immediately.
     Result<QueryResult> attempt = Status::Internal("no attempt ran");
     for (int n = 1; ; ++n) {
-      attempt = Attempt(it->second, state.query, run_token, replay_cap,
-                        degraded);
+      attempt = Attempt(it->second, state.query, run_token, degraded);
       if (attempt.ok() || !attempt.status().IsInternal() ||
           n >= options_.max_attempts) {
         break;
@@ -603,9 +587,8 @@ void GcgtService::Serve(int worker_index,
     }
 
     // Degraded results are never cached (their identity belongs to the
-    // fallback backend); neither are replay-capped brownout results (their
-    // modeled metrics differ from the artifact's canonical identity).
-    if (attempt.ok() && !degraded && !replay_capped && cache_ && key &&
+    // fallback backend).
+    if (attempt.ok() && !degraded && cache_ && key &&
         !FaultInjector::Global().ShouldInject(FaultPoint::kCacheInsert)) {
       cache_->Insert(*key,
                      std::make_shared<const QueryResult>(attempt.value()));
@@ -774,8 +757,8 @@ void GcgtService::ScanBrownout() {
   const size_t resident = cache_->Stats().bytes;
   if (!brownout_active_.load(std::memory_order_relaxed)) {
     if (resident > watermark) {
-      // Memory pressure: shed cache weight now and make workers run with
-      // shrunken replay budgets until pressure stays off for the hold.
+      // Memory pressure: shed cache weight now, until pressure stays off for
+      // the hold.
       brownout_since_ = now;
       brownout_events_.fetch_add(1, std::memory_order_relaxed);
       cache_->SetBudget(static_cast<size_t>(

@@ -175,6 +175,7 @@ ResultCacheStats ResultCache::Stats() const {
   stats.misses = misses_.load(std::memory_order_relaxed);
   stats.insertions = insertions_.load(std::memory_order_relaxed);
   stats.evictions = evictions_.load(std::memory_order_relaxed);
+  stats.budget = budget();
   for (const auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mu);
     stats.entries += shard->map.size();

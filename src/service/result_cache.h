@@ -79,6 +79,7 @@ struct ResultCacheStats {
   uint64_t evictions = 0;     ///< entries dropped to fit the byte budget
   size_t entries = 0;         ///< resident entries right now
   size_t bytes = 0;           ///< resident approximate bytes right now
+  size_t budget = 0;          ///< byte budget right now (shrunk by brownout)
 };
 
 class ResultCache {

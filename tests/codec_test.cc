@@ -5,10 +5,8 @@
 //  - traversal codec-invariance: BFS/CC/BC answers are identical across
 //    codecs (only metrics may differ — the codecs change the cost profile,
 //    never the results);
-//  - the artifact fingerprint incorporates the codec id and the replay-cache
-//    knobs (artifacts of different codecs/configs must never alias);
-//  - replay-cache correctness: hot-vertex replay changes charges and append
-//    order but never answers (BFS/CC exact, BC up to float summation order).
+//  - the artifact fingerprint incorporates the codec id (artifacts of
+//    different codecs must never alias).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -31,8 +29,8 @@ namespace gcgt {
 namespace {
 
 Graph TestGraph(uint64_t seed) {
-  // Dense enough that hubs exist (hits the replay degree gate) and every
-  // value-byte-length class of the byte codecs occurs.
+  // Dense enough that hubs exist and every value-byte-length class of the
+  // byte codecs occurs.
   return GenerateErdosRenyi(/*num_nodes=*/600, /*num_edges=*/6000, seed);
 }
 
@@ -156,7 +154,7 @@ TEST(Codec, SessionResultsAreCodecInvariant) {
   }
 }
 
-TEST(Codec, FingerprintIncorporatesCodecAndReplayKnobs) {
+TEST(Codec, FingerprintIncorporatesCodecKnobs) {
   Graph g = GenerateErdosRenyi(64, 256, 1);
   PrepareOptions base;
   const uint64_t fp_cgr = ComputeArtifactFingerprint(g, base);
@@ -170,99 +168,6 @@ TEST(Codec, FingerprintIncorporatesCodecAndReplayKnobs) {
   EXPECT_NE(fp_cgr, fp_svb);
   EXPECT_NE(fp_cgr, fp_vgb);
   EXPECT_NE(fp_svb, fp_vgb);
-
-  PrepareOptions replay = base;
-  replay.gcgt.replay_cache_bytes = 1 << 20;
-  EXPECT_NE(ComputeArtifactFingerprint(g, replay), fp_cgr);
-  replay.gcgt.replay_min_touches = 3;
-  EXPECT_NE(ComputeArtifactFingerprint(g, replay),
-            ComputeArtifactFingerprint(g, base));
-}
-
-TEST(Codec, ReplayCacheKeepsAnswersAndCountsHits) {
-  Graph g = TestGraph(17);
-  CgrOptions copt;
-  auto cgr = CgrGraph::Encode(g, copt);
-  ASSERT_TRUE(cgr.ok());
-
-  GcgtOptions off;
-  GcgtOptions on;
-  on.replay_cache_bytes = 4ull << 20;
-  on.replay_min_degree = 4;
-  on.replay_min_touches = 2;
-
-  // CC re-scans nodes across fixpoint rounds, so hot vertices meet the
-  // touch gate and replay from the cache.
-  auto cc_off = GcgtCc(cgr.value(), off);
-  auto cc_on = GcgtCc(cgr.value(), on);
-  ASSERT_TRUE(cc_off.ok() && cc_on.ok());
-  EXPECT_EQ(cc_on.value().component, cc_off.value().component);
-  EXPECT_GT(cc_on.value().metrics.warp.replay_hits, 0u);
-  EXPECT_GT(cc_on.value().metrics.warp.replay_txns, 0u);
-
-  // BFS touches each vertex's list once per query: no hits, same answers.
-  auto bfs_off = GcgtBfs(cgr.value(), 2, off);
-  auto bfs_on = GcgtBfs(cgr.value(), 2, on);
-  ASSERT_TRUE(bfs_off.ok() && bfs_on.ok());
-  EXPECT_EQ(bfs_on.value().depth, bfs_off.value().depth);
-
-  // BC: the backward sweep re-touches every forward-frontier vertex. With a
-  // single source that second touch IS the admission round, so replay needs
-  // min_touches = 1 to serve hits within one query. sigma is exact
-  // (integer-valued path counts); dependency is compared with a tolerance
-  // (append order changes float summation order).
-  GcgtOptions bc_opts = on;
-  bc_opts.replay_min_touches = 1;
-  auto bc_off = GcgtBc(cgr.value(), 2, off);
-  auto bc_on = GcgtBc(cgr.value(), 2, bc_opts);
-  ASSERT_TRUE(bc_off.ok() && bc_on.ok());
-  EXPECT_EQ(bc_on.value().sigma, bc_off.value().sigma);
-  EXPECT_EQ(bc_on.value().depth, bc_off.value().depth);
-  ASSERT_EQ(bc_on.value().dependency.size(), bc_off.value().dependency.size());
-  for (size_t i = 0; i < bc_off.value().dependency.size(); ++i) {
-    EXPECT_NEAR(bc_on.value().dependency[i], bc_off.value().dependency[i],
-                1e-9)
-        << "node " << i;
-  }
-  EXPECT_GT(bc_on.value().metrics.warp.replay_hits, 0u);
-}
-
-TEST(Codec, ReplayCacheIsInvalidatedBetweenQueries) {
-  // Two identical runs on one session must report identical metrics: if the
-  // cache leaked across queries, the second run would start warm and charge
-  // differently.
-  Graph g = TestGraph(19);
-  PrepareOptions opt;
-  opt.gcgt.replay_cache_bytes = 4ull << 20;
-  opt.gcgt.replay_min_degree = 4;
-  auto session = GcgtSession::Prepare(g, opt);
-  ASSERT_TRUE(session.ok());
-  RunOptions run;
-  auto a = session.value().Run(Query{CcQuery{}}, run);
-  auto b = session.value().Run(Query{CcQuery{}}, run);
-  ASSERT_TRUE(a.ok() && b.ok());
-  EXPECT_EQ(a.value().cc().component, b.value().cc().component);
-  EXPECT_EQ(a.value().cc().metrics.warp, b.value().cc().metrics.warp);
-  EXPECT_EQ(a.value().cc().metrics.model_ms, b.value().cc().metrics.model_ms);
-}
-
-TEST(Codec, ReplayCacheIsThreadCountInvariant) {
-  Graph g = TestGraph(23);
-  CgrOptions copt;
-  auto cgr = CgrGraph::Encode(g, copt);
-  ASSERT_TRUE(cgr.ok());
-  GcgtOptions serial;
-  serial.num_threads = 1;
-  serial.replay_cache_bytes = 4ull << 20;
-  serial.replay_min_degree = 4;
-  GcgtOptions parallel = serial;
-  parallel.num_threads = 4;
-  auto a = GcgtCc(cgr.value(), serial);
-  auto b = GcgtCc(cgr.value(), parallel);
-  ASSERT_TRUE(a.ok() && b.ok());
-  EXPECT_EQ(a.value().component, b.value().component);
-  EXPECT_EQ(a.value().metrics.warp, b.value().metrics.warp);
-  EXPECT_EQ(a.value().metrics.model_ms, b.value().metrics.model_ms);
 }
 
 TEST(Codec, ByteCodecFirstDeltaOverflowIsRejected) {

@@ -6,9 +6,14 @@
 //    decoded adjacency.
 //  - IntersectEngine: randomized differential tests of all three kernel
 //    paths against std::set_intersection, decode-free vs full-decode A/B,
-//    replay-cache reuse, k-core vs an independent peel oracle.
+//    k-core vs an independent peel oracle.
 //  - GcgtSession: cross-backend bit-identity of all five query families
-//    (including a VNC + reordered session) and argument validation.
+//    (one case per codec layout, plus a VNC + reordered session) and
+//    argument validation.
+//
+// The per-codec cross-backend cases and the chaos case are the slow ones;
+// CMakeLists.txt registers each as its own ctest entry so `ctest -j` runs
+// them in parallel with the rest of this binary.
 //  - GcgtService: cached hits bit-identical to fresh runs (metrics
 //    included), canonical {min,max} pair keys, and a chaos suite (honors
 //    GCGT_CHAOS_SEED / GCGT_CHAOS_RATE like the robustness suite).
@@ -153,43 +158,6 @@ TEST(IntersectEngine, PairIntersectionsMatchStdSetIntersection) {
   }
 }
 
-TEST(IntersectEngine, ReplayCacheChangesChargesButNeverResults) {
-  Graph g = GenerateSocialGraph({});
-  auto cgr = CgrGraph::Encode(g, CgrOptions{});
-  ASSERT_TRUE(cgr.ok());
-
-  GcgtOptions plain;
-  IntersectEngine base(cgr.value(), plain);
-  auto want = base.TriangleCount(CancelToken{});
-  ASSERT_TRUE(want.ok());
-
-  GcgtOptions replaying = plain;
-  replaying.replay_cache_bytes = 1ull << 20;
-  replaying.replay_min_degree = 4;
-  replaying.replay_min_touches = 2;
-  IntersectEngine cached(cgr.value(), replaying);
-  auto got = cached.TriangleCount(CancelToken{});
-  ASSERT_TRUE(got.ok());
-
-  EXPECT_EQ(got.value().triangles, want.value().triangles);
-  EXPECT_EQ(got.value().per_vertex, want.value().per_vertex);
-  EXPECT_GT(got.value().metrics.warp.replay_hits, 0u)
-      << "triangle counting re-streams every vertex once per neighbor — the "
-         "replay cache must see hits";
-  EXPECT_EQ(want.value().metrics.warp.replay_hits, 0u);
-
-  // Determinism: a second run on the same engine (replay reset per query)
-  // reproduces results AND metrics bit-for-bit.
-  auto again = cached.TriangleCount(CancelToken{});
-  ASSERT_TRUE(again.ok());
-  EXPECT_EQ(again.value().per_vertex, got.value().per_vertex);
-  EXPECT_EQ(again.value().metrics.model_ms, got.value().metrics.model_ms);
-  EXPECT_EQ(again.value().metrics.warp.mem_txns,
-            got.value().metrics.warp.mem_txns);
-  EXPECT_EQ(again.value().metrics.warp.intersect_txns,
-            got.value().metrics.warp.intersect_txns);
-}
-
 TEST(IntersectEngine, DecodeFreeUndercutsFullDecodeOnModeledCycles) {
   // The tentpole claim, asserted at engine level on an interval-rich graph:
   // merging runs straight off the compressed stream beats decode-then-merge.
@@ -211,6 +179,14 @@ TEST(IntersectEngine, DecodeFreeUndercutsFullDecodeOnModeledCycles) {
   EXPECT_EQ(fast.value().triangles, slow.value().triangles);
   EXPECT_EQ(fast.value().per_vertex, slow.value().per_vertex);
   EXPECT_LT(fast.value().metrics.model_ms, slow.value().metrics.model_ms);
+
+  // A second query on the same engine reproduces results AND metrics
+  // bit for bit: no per-query state leaks across queries.
+  auto again = a.TriangleCount(CancelToken{});
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(again.value().per_vertex, fast.value().per_vertex);
+  EXPECT_EQ(again.value().metrics.model_ms, fast.value().metrics.model_ms);
+  EXPECT_EQ(again.value().metrics.warp, fast.value().metrics.warp);
 }
 
 TEST(IntersectEngine, KCoreMatchesAnIndependentPeelOracle) {
@@ -312,27 +288,35 @@ void ExpectSameIntersectResult(const QueryResult& got, const QueryResult& want,
   }
 }
 
-TEST(IntersectSession, AllBackendsBitIdenticalToCpuReference) {
-  for (const CodecConfig& cfg : AllCodecConfigs()) {
-    Graph g = GenerateSocialGraph({});
-    PrepareOptions prep;
-    prep.cgr = cfg.options;
-    auto session = GcgtSession::Prepare(g, prep);
-    ASSERT_TRUE(session.ok()) << cfg.name;
-    for (const Query& q : IntersectWorkload()) {
-      auto want = session.value().Run(q, {.backend = Backend::kCpuReference});
-      ASSERT_TRUE(want.ok()) << want.status().ToString();
-      for (Backend backend : {Backend::kCgrSimt, Backend::kCsrBaseline,
-                              Backend::kCsrGunrock}) {
-        auto got = session.value().Run(q, {.backend = backend});
-        ASSERT_TRUE(got.ok()) << got.status().ToString();
-        ExpectSameIntersectResult(
-            got.value(), want.value(),
-            std::string(cfg.name) + "/" + BackendName(backend));
-      }
+class IntersectSessionByCodec : public ::testing::TestWithParam<CodecConfig> {
+};
+
+TEST_P(IntersectSessionByCodec, AllBackendsBitIdenticalToCpuReference) {
+  const CodecConfig& cfg = GetParam();
+  Graph g = GenerateSocialGraph({});
+  PrepareOptions prep;
+  prep.cgr = cfg.options;
+  auto session = GcgtSession::Prepare(g, prep);
+  ASSERT_TRUE(session.ok()) << cfg.name;
+  for (const Query& q : IntersectWorkload()) {
+    auto want = session.value().Run(q, {.backend = Backend::kCpuReference});
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    for (Backend backend : {Backend::kCgrSimt, Backend::kCsrBaseline,
+                            Backend::kCsrGunrock}) {
+      auto got = session.value().Run(q, {.backend = backend});
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      ExpectSameIntersectResult(
+          got.value(), want.value(),
+          std::string(cfg.name) + "/" + BackendName(backend));
     }
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Codecs, IntersectSessionByCodec, ::testing::ValuesIn(AllCodecConfigs()),
+    [](const ::testing::TestParamInfo<CodecConfig>& info) {
+      return std::string(info.param.name);
+    });
 
 TEST(IntersectSession, VncAndReorderingPreserveCrossBackendIdentity) {
   Graph g = GenerateSocialGraph({});

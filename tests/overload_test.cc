@@ -12,8 +12,8 @@
 //    once, per-client fair admission bounds a flooder without touching a
 //    light client, hedged successes are bit-identical to the oracle, the
 //    watchdog reports a worker stuck past its deadline into the health
-//    score and breaker, brownout sheds cache weight without changing
-//    labels and never memoizes replay-capped results,
+//    score and breaker, brownout shrinks the result-cache budget without
+//    changing results and still memoizes them,
 //  - chaos with the full QoS stack armed: every accepted future fulfilled,
 //    successes bit-identical to the no-fault oracle.
 #include <gtest/gtest.h>
@@ -581,10 +581,10 @@ TEST(ServiceOverload, BrownoutShedsBudgetsWithoutChangingLabels) {
   opt.qos.brownout_shrink = 0.5;
   opt.qos.watchdog_interval = microseconds(200);
   GcgtService service(opt);
-  PrepareOptions prep;
-  prep.gcgt.replay_cache_bytes = 1 << 16;  // replay enabled: the cap bites
-  auto id = service.RegisterGraph(g, prep);
+  auto id = service.RegisterGraph(g);
   ASSERT_TRUE(id.ok());
+  const size_t shrunk_budget = static_cast<size_t>(
+      static_cast<double>(opt.cache_bytes) * opt.qos.brownout_shrink);
 
   // Populate the cache; the next watchdog tick sees resident > watermark.
   auto first = service.Submit({id.value(), BfsQuery{0}}).get();
@@ -594,24 +594,35 @@ TEST(ServiceOverload, BrownoutShedsBudgetsWithoutChangingLabels) {
     std::this_thread::sleep_for(microseconds(200));
   }
   ASSERT_TRUE(service.Stats().brownout_active) << "brownout never engaged";
-  const uint64_t insertions_at_entry = service.Stats().cache.insertions;
+  EXPECT_EQ(service.Stats().cache.budget, shrunk_budget);
+  const ResultCacheStats at_entry = service.Stats().cache;
 
-  // A browned-out run is replay-capped: labels are still the oracle's...
-  auto capped = service.Submit({id.value(), BfsQuery{3}}).get();
-  ASSERT_TRUE(capped.ok());
+  // A browned-out run answers with the oracle's labels and metrics...
+  auto browned = service.Submit({id.value(), BfsQuery{3}}).get();
+  ASSERT_TRUE(browned.ok());
   auto want = oracle_session.value().Run(BfsQuery{3});
   ASSERT_TRUE(want.ok());
-  EXPECT_EQ(capped.value().bfs().depth, want.value().bfs().depth);
+  EXPECT_EQ(browned.value().bfs().depth, want.value().bfs().depth);
+  EXPECT_EQ(browned.value().metrics().model_ms,
+            want.value().metrics().model_ms);
+  EXPECT_EQ(browned.value().metrics().warp, want.value().metrics().warp);
 
-  // ...but its modeled metrics belong to a shrunken replay budget, so it
-  // must never be memoized: a resubmission runs fresh instead of hitting.
-  const ServiceStats mid = service.Stats();
-  EXPECT_EQ(mid.cache.insertions, insertions_at_entry);
+  // ...so it is memoized like any other result: the resubmission hits the
+  // cache and returns it bit for bit.
+  EXPECT_EQ(service.Stats().cache.insertions, at_entry.insertions + 1);
   auto again = service.Submit({id.value(), BfsQuery{3}}).get();
   ASSERT_TRUE(again.ok());
-  EXPECT_EQ(service.Stats().cache.hits, 0u);
+  EXPECT_EQ(service.Stats().cache.hits, at_entry.hits + 1);
+  EXPECT_EQ(again.value().bfs().depth, browned.value().bfs().depth);
+  EXPECT_EQ(again.value().metrics().model_ms,
+            browned.value().metrics().model_ms);
+  EXPECT_EQ(again.value().metrics().warp, browned.value().metrics().warp);
 
-  EXPECT_GE(service.Stats().brownout_events, 1u);
+  // The shrunken budget holds for as long as the brownout does.
+  const ServiceStats end = service.Stats();
+  EXPECT_TRUE(end.brownout_active);
+  EXPECT_EQ(end.cache.budget, shrunk_budget);
+  EXPECT_GE(end.brownout_events, 1u);
 }
 
 // --------------------------------------------------------- service: chaos
