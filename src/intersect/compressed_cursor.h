@@ -27,6 +27,7 @@
 #include <cstdint>
 #include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "cgr/byte_codecs.h"
@@ -46,15 +47,21 @@ struct CursorCharges {
   simt::WarpContext* ctx = nullptr;
   uint64_t codewords = 0;  ///< VLC / byte-codec codewords decoded
   uint64_t ops = 0;        ///< set-intersection operations
+  /// When set, every access charged through Access() is also appended here
+  /// (addr, bytes), so a decode's charges can be replayed without redoing it.
+  std::vector<std::pair<uint64_t, uint64_t>>* log = nullptr;
 
+  /// Charges one contiguous access of `bytes` bytes at `addr`.
+  void Access(uint64_t addr, uint64_t bytes) {
+    if (log != nullptr) log->emplace_back(addr, bytes);
+    ctx->MemAccessRange(addr, bytes);
+  }
   /// Charges a read of compressed bytes [first_byte, last_byte] (inclusive).
   void Bytes(uint64_t first_byte, uint64_t last_byte) {
-    ctx->MemAccessRange(kBitsBase + first_byte, last_byte - first_byte + 1);
+    Access(kBitsBase + first_byte, last_byte - first_byte + 1);
   }
   /// Charges the bit_start offsets read for node u (two 8-byte entries).
-  void Offsets(NodeId u) {
-    ctx->MemAccessRange(kOffsetsBase + 8ull * u, 16);
-  }
+  void Offsets(NodeId u) { Access(kOffsetsBase + 8ull * u, 16); }
 };
 
 /// One side of an intersection: ascending disjoint runs over one adjacency

@@ -176,7 +176,7 @@ std::span<const NodeId> IntersectEngine::MaterializeList(
   CollectCursor(&c, backing);
   if (full_decode_) {
     // The baseline writes the decoded list to scratch before merging.
-    ch->ctx->MemAccessRange(kScratchABase, 4ull * backing->size());
+    ch->Access(kScratchABase, 4ull * backing->size());
   }
   return *backing;
 }
@@ -217,11 +217,26 @@ Result<GcgtTriangleResult> IntersectEngine::TriangleCount(
       if (Status s = cancel.Check(); !s.ok()) return s;
     }
     CursorCharges ch{&ctx_};
+    // Full decode charges N(u)'s decode and scratch write once more for every
+    // v > u, exactly as MaterializeList charged them. The host decodes N(u)
+    // once and replays those charges.
+    u_decode_log_.clear();
+    if (full_decode_) ch.log = &u_decode_log_;
     const std::span<const NodeId> adj_u =
         MaterializeList(u, &ch, &list_scratch_);
+    ch.log = nullptr;
+    const uint64_t u_decode_codewords = ch.codewords;
+    auto u_side = [&] {
+      if (!full_decode_) return SideCursor(u, &ch, &scratch_a_, kScratchABase);
+      ch.codewords += u_decode_codewords;
+      for (const auto& [addr, bytes] : u_decode_log_) {
+        ctx_.MemAccessRange(addr, bytes);
+      }
+      return RunCursor::Decoded(adj_u, kScratchABase, &ch);
+    };
     for (const NodeId v : adj_u) {
       if (v <= u) continue;
-      RunCursor a = SideCursor(u, &ch, &scratch_a_, kScratchABase);
+      RunCursor a = u_side();
       RunCursor b = SideCursor(v, &ch, &scratch_b_, kScratchBBase);
       // Only witnesses above v close a triangle u < v < w; the compressed
       // gallop (or the decoded binary search) jumps both sides there.

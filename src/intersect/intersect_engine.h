@@ -39,6 +39,7 @@
 
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "cgr/cgr_graph.h"
@@ -128,6 +129,8 @@ class IntersectEngine {
   std::vector<NodeId> scratch_a_;
   std::vector<NodeId> scratch_b_;
   std::vector<NodeId> list_scratch_;
+  // TriangleCount's full-decode record of N(u)'s decode accesses.
+  std::vector<std::pair<uint64_t, uint64_t>> u_decode_log_;
 };
 
 // ---- Serial CPU oracles (backend kCpuReference). They run on the prepared

@@ -136,169 +136,123 @@ std::vector<NodeId> GorderOrder(const Graph& g, const Graph& reverse,
   return perm;
 }
 
-// One label-propagation layer at resolution gamma: nodes adopt the label
-// maximizing (#neighbors with label) - gamma * label_volume. Neighbor-label
-// tallying uses a timestamped counter array so each update is O(degree).
-//
-// Parallel schedule (bit-identical to the historical serial loop): the
-// shuffled visit order is processed in chunks. A chunk first computes every
-// node's proposed label concurrently on the thread pool from the label /
-// volume state frozen at chunk start, then commits the proposals serially
-// in visit order. A commit is only taken from the speculative pass when
-// none of the node's inputs changed earlier in the same chunk — a decision
-// depends exactly on the labels of its (out+in) neighbors and the volumes
-// of the labels those neighbors hold, so a node is re-evaluated serially
-// when any neighbor was relabeled this chunk (node epoch) or any neighbor's
-// current label had a volume change this chunk (label epoch). The serial
-// re-evaluation runs the exact historical code path, so the result is a
-// pure function of (graph, gamma, iterations, rng) for every pool size.
-
-/// Reusable tally scratch: one per worker plus one for serial re-evaluation.
-struct LabelTally {
-  std::vector<uint32_t> count;
-  std::vector<uint32_t> stamp;
-  std::vector<NodeId> touched;
-  uint32_t current = 0;
-};
-
 }  // namespace
 
 namespace internal {
 
-std::vector<NodeId> PropagateLabels(const Graph& g, const Graph& reverse,
-                                    double gamma, int iterations, Rng& rng,
-                                    ThreadPool* pool) {
-  const NodeId n = g.num_nodes();
-  std::vector<NodeId> label(n);
-  std::iota(label.begin(), label.end(), 0);
-  std::vector<uint64_t> volume(n, 1);
-
-  std::vector<NodeId> order(n);
-  std::iota(order.begin(), order.end(), 0);
-
-  const size_t workers = pool != nullptr ? pool->num_threads() : 1;
-  std::vector<LabelTally> tallies(workers + 1);  // [workers] = serial scratch
-  for (LabelTally& t : tallies) {
-    t.count.assign(n, 0);
-    t.stamp.assign(n, 0);
+LabelLayer::LabelLayer(const Graph& g, const Graph& reverse)
+    : label(g.num_nodes()), order(g.num_nodes()), stats(g.num_nodes()) {
+  size_t max_degree = 0;
+  for (NodeId u = 0; u < g.num_nodes(); ++u) {
+    max_degree = std::max<size_t>(
+        max_degree, g.out_degree(u) + reverse.out_degree(u));
   }
-
-  // Evaluates u against the current label/volume state; replicates the
-  // historical serial decision exactly (touched order, tie-breaking, the
-  // -1 volume adjustment for u's own label). Returns label[u] when u has no
-  // neighbors (a committed no-op).
-  auto best_label_of = [&](NodeId u, LabelTally& t) -> NodeId {
-    ++t.current;
-    t.touched.clear();
-    auto tally = [&](NodeId v) {
-      NodeId lv = label[v];
-      if (t.stamp[lv] != t.current) {
-        t.stamp[lv] = t.current;
-        t.count[lv] = 0;
-        t.touched.push_back(lv);
-      }
-      ++t.count[lv];
-    };
-    for (NodeId v : g.Neighbors(u)) tally(v);
-    for (NodeId v : reverse.Neighbors(u)) tally(v);
-    if (t.touched.empty()) return label[u];
-    NodeId best = label[u];
-    double best_score = -1e300;
-    for (NodeId l : t.touched) {
-      double vol = static_cast<double>(volume[l]) - (l == label[u] ? 1 : 0);
-      double score = static_cast<double>(t.count[l]) - gamma * vol;
-      if (score > best_score) {
-        best_score = score;
-        best = l;
-      }
-    }
-    return best;
-  };
-
-  constexpr NodeId kChunk = 2048;
-  std::vector<NodeId> proposal(n);
-  std::vector<uint32_t> node_epoch(n, 0);   // last chunk that relabeled v
-  std::vector<uint32_t> label_epoch(n, 0);  // last chunk that resized volume[l]
-  uint32_t chunk_epoch = 0;
-
-  for (int it = 0; it < iterations; ++it) {
-    rng.Shuffle(order);
-    bool changed = false;
-    for (NodeId chunk_begin = 0; chunk_begin < n; chunk_begin += kChunk) {
-      const NodeId chunk_end = std::min<NodeId>(n, chunk_begin + kChunk);
-      ++chunk_epoch;
-      if (pool != nullptr) {
-        pool->ParallelFor(
-            chunk_end - chunk_begin, 64,
-            [&](size_t tid, size_t begin, size_t end) {
-              for (size_t i = begin; i < end; ++i) {
-                const NodeId pos = chunk_begin + static_cast<NodeId>(i);
-                proposal[pos] = best_label_of(order[pos], tallies[tid]);
-              }
-            });
-      }
-      for (NodeId pos = chunk_begin; pos < chunk_end; ++pos) {
-        const NodeId u = order[pos];
-        bool stale = pool == nullptr;
-        if (!stale) {
-          auto dirty = [&](NodeId v) {
-            return node_epoch[v] == chunk_epoch ||
-                   label_epoch[label[v]] == chunk_epoch;
-          };
-          for (NodeId v : g.Neighbors(u)) {
-            if (dirty(v)) {
-              stale = true;
-              break;
-            }
-          }
-          if (!stale) {
-            for (NodeId v : reverse.Neighbors(u)) {
-              if (dirty(v)) {
-                stale = true;
-                break;
-              }
-            }
-          }
-        }
-        const NodeId best =
-            stale ? best_label_of(u, tallies[workers]) : proposal[pos];
-        if (best != label[u]) {
-          --volume[label[u]];
-          ++volume[best];
-          label_epoch[label[u]] = chunk_epoch;
-          label_epoch[best] = chunk_epoch;
-          label[u] = best;
-          node_epoch[u] = chunk_epoch;
-          changed = true;
-        }
-      }
-    }
-    if (!changed) break;
-  }
-  return label;
+  touched.reserve(max_degree);
 }
 
-}  // namespace internal
+// One label-propagation layer at resolution gamma: nodes adopt the label
+// maximizing (#neighbors with label) - gamma * label_volume. Neighbor-label
+// tallying uses a timestamped counter array so each update is O(degree).
+int PropagateLabels(const Graph& g, const Graph& reverse, double gamma,
+                    int iterations, Rng& rng, LabelLayer& layer) {
+  std::vector<NodeId>& label = layer.label;
+  std::vector<LabelLayer::LabelStats>& stats = layer.stats;
+  std::iota(label.begin(), label.end(), 0);
+  std::iota(layer.order.begin(), layer.order.end(), 0);
+  std::fill(stats.begin(), stats.end(), LabelLayer::LabelStats{});
+  uint32_t current = 0;
+  auto tally = [&](NodeId v) {
+    LabelLayer::LabelStats& s = stats[label[v]];
+    if (s.stamp != current) {
+      s.stamp = current;
+      s.count = 0;
+      layer.touched.push_back(label[v]);
+    }
+    ++s.count;
+  };
 
-namespace {
+  for (int it = 0; it < iterations; ++it) {
+    rng.Shuffle(layer.order);
+    bool changed = false;
+    for (NodeId u : layer.order) {
+      ++current;
+      layer.touched.clear();
+      for (NodeId v : g.Neighbors(u)) tally(v);
+      for (NodeId v : reverse.Neighbors(u)) tally(v);
+      if (layer.touched.empty()) continue;
+      NodeId best = label[u];
+      double best_score = -1e300;
+      for (NodeId l : layer.touched) {
+        double vol =
+            static_cast<double>(stats[l].volume) - (l == label[u] ? 1 : 0);
+        double score = static_cast<double>(stats[l].count) - gamma * vol;
+        if (score > best_score) {
+          best_score = score;
+          best = l;
+        }
+      }
+      if (best != label[u]) {
+        --stats[label[u]].volume;
+        ++stats[best].volume;
+        label[u] = best;
+        changed = true;
+      }
+    }
+    if (!changed) return it + 1;
+  }
+  return iterations;
+}
 
+// The layers share nothing but the Rng, and every sweep draws n - 1 values,
+// so a layer's start state is Rng(seed) advanced past the draws of the layers
+// before it. Each round runs the layers not yet accepted concurrently, each
+// from the state it has if every earlier layer runs all its sweeps, then
+// accepts them in order: the first always, each later one only while the
+// layer before it did run all its sweeps. A layer that stopped early moves
+// the start of every later layer, and those run again in the next round.
 std::vector<NodeId> LlpOrder(const Graph& g, const Graph& reverse,
-                             uint64_t seed) {
+                             uint64_t seed, ThreadPool& pool) {
   const NodeId n = g.num_nodes();
-  Rng rng(seed);
-  // Speculation costs one extra tally per stale node, so only engage the
-  // parallel schedule when there is real parallelism to pay for it.
-  ThreadPool& shared = SharedThreadPool();
-  ThreadPool* pool = shared.num_threads() > 1 ? &shared : nullptr;
+  constexpr int kLayers = 4;
+  constexpr int kSweeps = 4;
+  const double gammas[kLayers] = {1.0, 1.0 / 4, 1.0 / 16, 0.0};
+  const uint64_t sweep_draws = n > 1 ? n - 1 : 0;
+  std::vector<LabelLayer> layers;
+  layers.reserve(kLayers);
+  for (int i = 0; i < kLayers; ++i) layers.emplace_back(g, reverse);
+  uint64_t start[kLayers] = {};
+  int sweeps[kLayers] = {};
+  int accepted = 0;
+  uint64_t next_start = 0;
+  while (accepted < kLayers) {
+    for (int i = accepted; i < kLayers; ++i) {
+      start[i] = next_start +
+                 static_cast<uint64_t>(i - accepted) * kSweeps * sweep_draws;
+    }
+    pool.ParallelFor(kLayers - accepted, 1,
+                     [&](size_t, size_t begin, size_t end) {
+                       for (size_t i = accepted + begin; i < accepted + end;
+                            ++i) {
+                         Rng rng(seed);
+                         rng.Discard(start[i]);
+                         sweeps[i] = PropagateLabels(g, reverse, gammas[i],
+                                                     kSweeps, rng, layers[i]);
+                       }
+                     });
+    do {
+      next_start = start[accepted] +
+                   static_cast<uint64_t>(sweeps[accepted]) * sweep_draws;
+      ++accepted;
+    } while (accepted < kLayers && sweeps[accepted - 1] == kSweeps);
+  }
+
   // order[rank] = node; layers refine the ordering fine -> coarse, the
   // coarsest layer applied last forms the primary grouping.
   std::vector<NodeId> order(n);
   std::iota(order.begin(), order.end(), 0);
-  const double gammas[] = {1.0, 1.0 / 4, 1.0 / 16, 0.0};
   std::vector<NodeId> label_rank(n);
-  for (double gamma : gammas) {
-    std::vector<NodeId> label =
-        internal::PropagateLabels(g, reverse, gamma, 4, rng, pool);
+  for (const LabelLayer& layer : layers) {
+    const std::vector<NodeId>& label = layer.label;
     // Renumber cluster labels by first occurrence in the current order (the
     // LLP trick): sorting then groups each cluster without scrambling the
     // macro order established by earlier layers.
@@ -318,7 +272,7 @@ std::vector<NodeId> LlpOrder(const Graph& g, const Graph& reverse,
   return perm;
 }
 
-}  // namespace
+}  // namespace internal
 
 std::vector<NodeId> ComputeOrdering(const Graph& g, ReorderMethod method,
                                     uint64_t seed) {
@@ -338,7 +292,7 @@ std::vector<NodeId> ComputeOrdering(const Graph& g, ReorderMethod method,
     }
     case ReorderMethod::kLlp: {
       Graph reverse = g.Reversed();
-      return LlpOrder(g, reverse, seed);
+      return internal::LlpOrder(g, reverse, seed, SharedThreadPool());
     }
   }
   return IdentityOrder(g.num_nodes());

@@ -53,12 +53,38 @@ Graph ApplyReordering(const Graph& g, ReorderMethod method, uint64_t seed = 42);
 
 namespace internal {
 
-/// One LLP label-propagation layer (exposed for tests). `pool == nullptr`
-/// runs the historical serial loop; any pool produces bit-identical labels
-/// via the chunked speculate-then-validate schedule (see reorder.cc).
-std::vector<NodeId> PropagateLabels(const Graph& g, const Graph& reverse,
-                                    double gamma, int iterations, Rng& rng,
-                                    ThreadPool* pool);
+/// Buffers of one LLP label-propagation layer, all allocated by the
+/// constructor: a pool worker that runs the layer only fills them. (Memory a
+/// worker allocates and frees stays in glibc's per-thread arena and shows up
+/// as resident set.)
+struct LabelLayer {
+  LabelLayer(const Graph& g, const Graph& reverse);
+
+  /// Per-label state, kept together so one cache line serves a tally.
+  struct LabelStats {
+    uint32_t stamp = 0;   ///< last node visit that tallied this label
+    uint32_t count = 0;   ///< neighbors holding it, valid when stamp matches
+    uint32_t volume = 1;  ///< nodes holding it
+  };
+
+  std::vector<NodeId> label;  ///< the layer's result: label[node]
+  std::vector<NodeId> order;
+  std::vector<LabelStats> stats;
+  std::vector<NodeId> touched;  ///< capacity: the largest out+in degree
+};
+
+/// One LLP label-propagation layer (exposed for tests): up to `iterations`
+/// sweeps over a shuffled node order, stopping after a sweep that relabels
+/// nothing. Each sweep draws n - 1 values from `rng` (Rng::Shuffle). Leaves
+/// the labels in `layer.label` and returns the number of sweeps run.
+int PropagateLabels(const Graph& g, const Graph& reverse, double gamma,
+                    int iterations, Rng& rng, LabelLayer& layer);
+
+/// The LLP permutation with its four layers run concurrently on `pool`
+/// (exposed for tests; ComputeOrdering passes SharedThreadPool()). Equal to
+/// running the layers one after another on one Rng(seed), for every pool size.
+std::vector<NodeId> LlpOrder(const Graph& g, const Graph& reverse,
+                             uint64_t seed, ThreadPool& pool);
 
 }  // namespace internal
 

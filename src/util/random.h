@@ -44,6 +44,11 @@ class Rng {
     return result;
   }
 
+  /// Advances the state by k draws (the same as calling Next() k times).
+  void Discard(uint64_t k) {
+    while (k-- > 0) Next();
+  }
+
   /// Uniform integer in [0, n). Precondition: n > 0.
   uint64_t Uniform(uint64_t n) { return Next() % n; }
 
@@ -70,7 +75,8 @@ class Rng {
     return k == 0 ? 1 : (k > n ? n : k);
   }
 
-  /// Fisher-Yates shuffle.
+  /// Fisher-Yates shuffle. Draws exactly v.size() - 1 values (none for
+  /// fewer than two items), so callers can predict the state it leaves.
   template <typename T>
   void Shuffle(std::vector<T>& v) {
     for (size_t i = v.size(); i > 1; --i) {

@@ -127,8 +127,11 @@ void ThreadPool::ParallelFor(
   }
   if (done_workers_.fetch_add(1) + 1 != num_threads_) {
     std::unique_lock<std::mutex> lock(mu_);
+    // Acquire: the last worker's increment can land before it takes mu_, and
+    // the caller may then see the count without waiting, so the load itself
+    // must order the workers' writes (and their reads of job_) before ours.
     finished_.wait(lock, [&] {
-      return done_workers_.load(std::memory_order_relaxed) == num_threads_;
+      return done_workers_.load(std::memory_order_acquire) == num_threads_;
     });
   }
   job_ = nullptr;

@@ -115,6 +115,18 @@ TEST(Reorder, LlpImprovesCgrCompression) {
   EXPECT_LT(reordered.value().BitsPerEdge(), original.value().BitsPerEdge());
 }
 
+TEST(Reorder, LlpPermutationIsPinned) {
+  // Word-wise FNV-1a of one fixed LLP permutation. LLP output decides every
+  // LLP-prepared artifact's compression rate and modeled cycles, so a change
+  // to it must be deliberate and show up here first.
+  Graph g = GenerateSocialGraph({.num_nodes = 5000, .seed = 18});
+  uint64_t hash = 0xcbf29ce484222325ULL;
+  for (NodeId p : ComputeOrdering(g, ReorderMethod::kLlp, 42)) {
+    hash = (hash ^ p) * 0x100000001b3ULL;
+  }
+  EXPECT_EQ(hash, 0x1b8b2dcf5b6ac7ddULL);
+}
+
 TEST(Reorder, ValidatePermutationCatchesErrors) {
   EXPECT_FALSE(ValidatePermutation({0, 1}, 3).ok());        // wrong size
   EXPECT_FALSE(ValidatePermutation({0, 1, 1}, 3).ok());     // repeated

@@ -5,7 +5,7 @@
 //  - parallel-vs-serial bit-identity of the claim-buffer filter path,
 //    including the deferred fallback used by filters that do not override
 //    the claim hooks;
-//  - parallel-deterministic LLP label propagation.
+//  - LLP with its layers run concurrently equal to the sequential layers.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -258,29 +258,71 @@ TEST(ClaimProtocol, DeferredFallbackMatchesSerialEngine) {
 // Parallel-deterministic LLP.
 // ---------------------------------------------------------------------------
 
-TEST(ParallelLlp, PropagateLabelsMatchesSerialReference) {
-  Graph g = GenerateSocialGraph({.num_nodes = 3000, .seed = 17});
-  Graph reverse = g.Reversed();
-  for (double gamma : {1.0, 0.25, 0.0}) {
-    Rng rng_serial(123), rng_par(123);
-    auto serial = internal::PropagateLabels(g, reverse, gamma, 4, rng_serial,
-                                            /*pool=*/nullptr);
-    ThreadPool& pool = SharedThreadPool(4);
-    auto parallel =
-        internal::PropagateLabels(g, reverse, gamma, 4, rng_par, &pool);
-    EXPECT_EQ(serial, parallel) << "gamma " << gamma;
+// The LLP definition the concurrent schedule must reproduce: the four layers
+// one after another on one Rng, then the renumber + stable_sort combine.
+// `sweeps` receives each layer's sweep count.
+std::vector<NodeId> SequentialLlp(const Graph& g, const Graph& reverse,
+                                  uint64_t seed, std::vector<int>* sweeps) {
+  const NodeId n = g.num_nodes();
+  Rng rng(seed);
+  std::vector<NodeId> order(n);
+  std::iota(order.begin(), order.end(), 0);
+  std::vector<NodeId> label_rank(n);
+  for (double gamma : {1.0, 1.0 / 4, 1.0 / 16, 0.0}) {
+    internal::LabelLayer layer(g, reverse);
+    sweeps->push_back(
+        internal::PropagateLabels(g, reverse, gamma, 4, rng, layer));
+    const std::vector<NodeId>& label = layer.label;
+    std::fill(label_rank.begin(), label_rank.end(), kInvalidNode);
+    NodeId next_rank = 0;
+    for (NodeId node : order) {
+      if (label_rank[label[node]] == kInvalidNode) {
+        label_rank[label[node]] = next_rank++;
+      }
+    }
+    std::stable_sort(order.begin(), order.end(), [&](NodeId a, NodeId b) {
+      return label_rank[label[a]] < label_rank[label[b]];
+    });
   }
+  std::vector<NodeId> perm(n);
+  for (NodeId rank = 0; rank < n; ++rank) perm[order[rank]] = rank;
+  return perm;
 }
 
-TEST(ParallelLlp, PoolSizeDoesNotChangeLabels) {
-  Graph g = GenerateErdosRenyi(2000, 9000, 5);
-  Graph reverse = g.Reversed();
-  Rng rng3(9), rng7(9);
-  ThreadPool& pool3 = SharedThreadPool(3);
-  ThreadPool& pool7 = SharedThreadPool(7);
-  auto a = internal::PropagateLabels(g, reverse, 0.25, 3, rng3, &pool3);
-  auto b = internal::PropagateLabels(g, reverse, 0.25, 3, rng7, &pool7);
-  EXPECT_EQ(a, b);
+TEST(ParallelLlp, ConcurrentLayersMatchSequentialReference) {
+  struct Case {
+    const char* name;
+    Graph g;
+    bool early_stop;  // some layer before the last stops short of 4 sweeps
+  };
+  std::vector<Case> cases;
+  cases.push_back({"social", GenerateSocialGraph({.num_nodes = 3000,
+                                                  .seed = 17}),
+                   false});
+  cases.push_back({"sparse-er", GenerateErdosRenyi(2000, 600, 5), true});
+  cases.push_back({"edgeless", Graph::FromEdges(50, {}), true});
+  for (const Case& c : cases) {
+    const Graph reverse = c.g.Reversed();
+    for (uint64_t seed : {42u, 7u}) {
+      std::vector<int> sweeps;
+      const std::vector<NodeId> want =
+          SequentialLlp(c.g, reverse, seed, &sweeps);
+      if (c.early_stop) {
+        // A short layer moves every later layer's start: the re-run path.
+        EXPECT_TRUE(std::any_of(sweeps.begin(), sweeps.end() - 1,
+                                [](int s) { return s < 4; }))
+            << c.name << " seed " << seed;
+      }
+      for (size_t threads : {1u, 2u, 4u, 7u}) {
+        EXPECT_EQ(internal::LlpOrder(c.g, reverse, seed,
+                                     SharedThreadPool(threads)),
+                  want)
+            << c.name << " seed " << seed << " threads " << threads;
+      }
+      EXPECT_EQ(ComputeOrdering(c.g, ReorderMethod::kLlp, seed), want)
+          << c.name << " seed " << seed;
+    }
+  }
 }
 
 }  // namespace

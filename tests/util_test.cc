@@ -347,6 +347,24 @@ TEST(Rng, ShuffleIsPermutation) {
   for (int i = 0; i < 100; ++i) EXPECT_EQ(sorted[i], i);
 }
 
+TEST(Rng, DiscardEqualsRepeatedNext) {
+  for (uint64_t k : {0u, 1u, 7u, 1000u}) {
+    Rng stepped(31), skipped(31);
+    for (uint64_t i = 0; i < k; ++i) stepped.Next();
+    skipped.Discard(k);
+    EXPECT_EQ(stepped.Next(), skipped.Next()) << "k " << k;
+  }
+  // LLP predicts each layer's start state from this: a shuffle of n items
+  // draws exactly n - 1 values.
+  for (size_t n : {0u, 1u, 2u, 50u}) {
+    Rng shuffled(8), skipped(8);
+    std::vector<int> v(n);
+    shuffled.Shuffle(v);
+    skipped.Discard(n > 1 ? n - 1 : 0);
+    EXPECT_EQ(shuffled.Next(), skipped.Next()) << "n " << n;
+  }
+}
+
 TEST(ThreadPool, ParallelForCoversRangeExactlyOnce) {
   ThreadPool pool(4);
   std::vector<std::atomic<int>> hits(10000);
