@@ -17,7 +17,7 @@
 // classes with per-class deadlines, several client ids) is dispatched at
 // trace time regardless of completions, once against the legacy FIFO front
 // end (overload/fifo) and once against the QoS stack — EDF + CoDel shedding
-// + hedging (overload/qos). Rates and deadlines are calibrated to the
+// + the watchdog (overload/qos). Rates and deadlines are calibrated to the
 // machine's measured mean service time, so the trace stresses the QUEUE, not
 // the host's absolute speed. Goodput and the interactive class's p99 are the
 // trend-gated metrics; model_cycles is 0 for these rows (the scenarios
@@ -291,17 +291,11 @@ OverloadResult RunOverloadScenario(const Graph& g, const PrepareOptions& prep,
         std::chrono::duration<double>(mean_s));
     opt.qos.shed_target = 4 * mean;
     opt.qos.shed_interval = 10 * mean;
-    // Hedging targets genuine stragglers only: a long delay plus the
-    // service's backlog gate (no hedging while a standing queue exists)
-    // keeps duplicated work from eating serving capacity during the bursts
-    // themselves.
-    opt.qos.enable_hedging = true;
-    opt.qos.hedge_delay = 12 * mean;
     opt.qos.watchdog_interval =
         std::max<std::chrono::nanoseconds>(mean, std::chrono::microseconds(200));
   } else {
     // The A/B baseline is the pre-QoS service: global FIFO, no shedding, no
-    // hedging, no watchdog.
+    // watchdog.
     opt.qos.watchdog_interval = std::chrono::nanoseconds(0);
   }
   GcgtService service(opt);
@@ -506,9 +500,9 @@ int Main(int argc, char** argv) {
       "(max %.3f ms), burst 3x capacity\n",
       overload_queries, overload_workers, mean_s * 1e3,
       service_time.max_s * 1e3);
-  std::printf("%-14s %12s %12s %12s %8s %8s %8s %8s\n", "scenario",
+  std::printf("%-14s %12s %12s %12s %8s %8s %8s\n", "scenario",
               "goodput_qps", "iact_qps", "iact_p99", "ok", "shed",
-              "expired", "hedged");
+              "expired");
   for (const bool qos : {false, true}) {
     OverloadResult r = RunOverloadScenario(d.graph, prep, workload, trace,
                                            qos, overload_workers, mean_s);
@@ -520,12 +514,11 @@ int Main(int argc, char** argv) {
     const std::string label = qos ? "overload/qos" : "overload/fifo";
     const uint64_t shed = r.stats.shed_overload + r.stats.shed_rate_limited +
                           r.stats.rejected;
-    std::printf("%-14s %12.1f %12.1f %12.3f %8llu %8llu %8llu %8llu\n",
+    std::printf("%-14s %12.1f %12.1f %12.3f %8llu %8llu %8llu\n",
                 label.c_str(), goodput, iact_goodput, iact_p99,
                 static_cast<unsigned long long>(r.ok),
                 static_cast<unsigned long long>(shed),
-                static_cast<unsigned long long>(r.stats.expired_in_queue),
-                static_cast<unsigned long long>(r.stats.hedged));
+                static_cast<unsigned long long>(r.stats.expired_in_queue));
     // model_cycles is 0 by design: the two modes complete different query
     // subsets, so summed deterministic cycles would not be comparable (the
     // model-cycle trend gate skips zero-baseline rows).
@@ -540,8 +533,6 @@ int Main(int argc, char** argv) {
               {"shed_overload", std::to_string(r.stats.shed_overload)},
               {"expired_in_queue", std::to_string(r.stats.expired_in_queue)},
               {"deadline_exceeded", std::to_string(r.stats.deadline_exceeded)},
-              {"hedged", std::to_string(r.stats.hedged)},
-              {"hedge_wins", std::to_string(r.stats.hedge_wins)},
               {"workers", std::to_string(overload_workers)}});
   }
   return 0;

@@ -55,9 +55,8 @@ void GcgtService::Shutdown() {
   // no caller returns while workers are still running. Submissions racing
   // with shutdown either make it into the queue (drained, future fulfilled)
   // or see the closed queue and fail fast with Unavailable — AdmissionQueue
-  // guarantees a false Push never consumes the item. The watchdog is joined
-  // AFTER the drain: hedges it dispatches into the closed queue fail
-  // harmlessly (TryPush kClosed releases the attempt).
+  // guarantees a false Push never consumes the item. The watchdog only
+  // reads worker slots, so it is joined after the drain.
   std::call_once(shutdown_once_, [&] {
     queue_.Close();  // workers drain the accepted jobs, then exit
     for (std::thread& worker : workers_) worker.join();
@@ -223,10 +222,9 @@ std::shared_ptr<GcgtService::JobState> GcgtService::MakeState(
                                                 options_.default_timeout);
   }
   // Canonicalize BC source sets (sort + dedup) at admission, before anything
-  // reads the query: the executed query, the cache key and any hedge attempt
-  // then always agree, so a cache hit is bit-identical to a fresh run of the
-  // canonical query and equivalent submissions ({3,1}, {1,3,3}) share one
-  // cached result.
+  // reads the query: the executed query and the cache key then always agree,
+  // so a cache hit is bit-identical to a fresh run of the canonical query
+  // and equivalent submissions ({3,1}, {1,3,3}) share one cached result.
   if (auto* bc = std::get_if<BcQuery>(&query.query)) {
     bc->sources = CanonicalBcSources(std::move(bc->sources));
   }
@@ -235,7 +233,6 @@ std::shared_ptr<GcgtService::JobState> GcgtService::MakeState(
   CanonicalizePairQuery(query.query);
   auto state = std::make_shared<JobState>();
   state->query = std::move(query);
-  state->admitted_at = Clock::now();
   return state;
 }
 
@@ -253,11 +250,6 @@ bool GcgtService::FairAdmit(uint64_t client_id) {
   return it->second.TryAcquire(now);
 }
 
-void GcgtService::RegisterInflight(const std::shared_ptr<JobState>& state) {
-  std::lock_guard<std::mutex> lock(inflight_mu_);
-  inflight_.push_back(state);
-}
-
 std::future<Result<QueryResult>> GcgtService::Submit(ServiceQuery query) {
   std::shared_ptr<JobState> state = MakeState(std::move(query));
   std::future<Result<QueryResult>> future = state->promise.get_future();
@@ -268,27 +260,22 @@ std::future<Result<QueryResult>> GcgtService::Submit(ServiceQuery query) {
     // Fair-admission sheds behave like shutdown-time shedding: the future
     // is fulfilled immediately with Unavailable.
     shed_rate_limited_.fetch_add(1, std::memory_order_relaxed);
-    completed_.fetch_add(1, std::memory_order_relaxed);
-    state->fulfilled.store(true, std::memory_order_release);
-    state->promise.set_value(Status::Unavailable(
-        "fair admission: client exceeded its token-bucket rate"));
+    Fulfill(*state,
+            Status::Unavailable(
+                "fair admission: client exceeded its token-bucket rate"));
     return future;
   }
   if (FaultInjector::Global().ShouldInject(FaultPoint::kQueueAdmit)) {
     // A simulated admission failure behaves like shutdown-time shedding.
-    completed_.fetch_add(1, std::memory_order_relaxed);
-    state->fulfilled.store(true, std::memory_order_release);
-    state->promise.set_value(
-        Status::Unavailable("injected fault: queue admission shed"));
+    Fulfill(*state,
+            Status::Unavailable("injected fault: queue admission shed"));
     return future;
   }
-  if (options_.qos.enable_hedging) RegisterInflight(state);
-  Job job{state, 0};
+  Job job = state;
   // deadline() is time_point::max() for un-deadlined tokens — exactly the
   // queue's "no deadline" sentinel.
   if (!queue_.Push(job, state->query.priority, state->query.cancel.deadline())) {
     submitted_.fetch_sub(1, std::memory_order_relaxed);
-    state->fulfilled.store(true, std::memory_order_release);
     state->promise.set_value(Status::Unavailable("service is shut down"));
     return future;
   }
@@ -312,8 +299,7 @@ Result<std::future<Result<QueryResult>>> GcgtService::TrySubmit(
     rejected_.fetch_add(1, std::memory_order_relaxed);
     return Status::Unavailable("injected fault: queue admission shed");
   }
-  if (options_.qos.enable_hedging) RegisterInflight(state);
-  Job job{state, 0};
+  Job job = state;
   switch (queue_.TryPush(job, state->query.priority,
                          state->query.cancel.deadline())) {
     case AdmissionQueue<Job>::PushResult::kOk:
@@ -337,15 +323,9 @@ std::vector<std::future<Result<QueryResult>>> GcgtService::SubmitBatch(
   return futures;
 }
 
-bool GcgtService::Fulfill(JobState& state, Result<QueryResult> result,
-                          const std::function<void()>& on_win) {
-  if (state.fulfilled.exchange(true, std::memory_order_acq_rel)) return false;
-  // The race is decided: stop the losing attempt (queued or mid-run) at its
-  // next cooperative poll. Cancelling the winner's own token is harmless —
-  // its result is already in hand.
-  state.attempt_cancel[0].Cancel();
-  state.attempt_cancel[1].Cancel();
-  ObserveLatency(Clock::now() - state.admitted_at);
+void GcgtService::Fulfill(JobState& state, Result<QueryResult> result,
+                          const std::function<void()>& account) {
+  state.fulfilled.store(true, std::memory_order_release);
   if (!result.ok()) {
     if (result.status().IsCancelled()) {
       cancelled_.fetch_add(1, std::memory_order_relaxed);
@@ -355,41 +335,15 @@ bool GcgtService::Fulfill(JobState& state, Result<QueryResult> result,
   }
   // ALL per-query accounting lands before set_value wakes the client, so a
   // Stats() read after .get() always sees this query fully counted.
-  if (on_win) on_win();
+  if (account) account();
   // Exactly-once fulfillment: every verdict funnels through this one
-  // set_value, so an accepted future can never be abandoned or set twice.
+  // set_value, and a job leaves the queue exactly once, so an accepted
+  // future can never be abandoned or set twice.
   completed_.fetch_add(1, std::memory_order_relaxed);
   state.promise.set_value(std::move(result));
-  return true;
 }
 
-void GcgtService::FailAttempt(Job& job, Status status, FailCause cause) {
-  {
-    std::lock_guard<std::mutex> lock(job.state->verdict_mu);
-    job.state->error = std::move(status);
-    job.state->error_cause = cause;
-  }
-  ReleaseAttempt(*job.state);
-}
-
-void GcgtService::ReleaseAttempt(JobState& state) {
-  if (state.live_attempts.fetch_sub(1, std::memory_order_acq_rel) != 1) {
-    // A sibling attempt is still live (or already decided the query); a
-    // failed attempt must never preempt a hedge that might still succeed.
-    return;
-  }
-  // Last live attempt: its stored verdict decides the query — unless a
-  // sibling already fulfilled it (Fulfill no-ops then).
-  Status status = Status::OK();
-  FailCause cause = FailCause::kRun;
-  {
-    std::lock_guard<std::mutex> lock(state.verdict_mu);
-    status = state.error;
-    cause = state.error_cause;
-  }
-  // Cause attribution happens only on the fulfilling verdict, so each query
-  // lands in at most one overload counter (a swept-then-hedge-rescued query
-  // counts as a success, not an expiry).
+void GcgtService::Fail(JobState& state, Status status, FailCause cause) {
   Fulfill(state, std::move(status), [&] {
     if (cause == FailCause::kExpiredInQueue) {
       expired_in_queue_.fetch_add(1, std::memory_order_relaxed);
@@ -409,16 +363,14 @@ void GcgtService::WorkerLoop(int worker_index) {
     // before serving the live item keeps their futures from waiting on an
     // unrelated traversal.
     for (Job& doomed : out.expired) {
-      FailAttempt(doomed,
-                  Status::DeadlineExceeded(
-                      "query deadline expired while queued"),
-                  FailCause::kExpiredInQueue);
+      Fail(*doomed,
+           Status::DeadlineExceeded("query deadline expired while queued"),
+           FailCause::kExpiredInQueue);
     }
     for (Job& doomed : out.shed) {
-      FailAttempt(doomed,
-                  Status::Unavailable(
-                      "overload shed: queue sojourn above target"),
-                  FailCause::kShedOverload);
+      Fail(*doomed,
+           Status::Unavailable("overload shed: queue sojourn above target"),
+           FailCause::kShedOverload);
     }
     if (out.item) {
       Serve(worker_index, sessions, std::move(*out.item));
@@ -430,7 +382,6 @@ void GcgtService::WorkerLoop(int worker_index) {
 
 Result<QueryResult> GcgtService::Attempt(WorkerSession& ws,
                                          const ServiceQuery& query,
-                                         const CancelToken& run_token,
                                          bool& degraded) {
   degraded = false;
   // Exception containment: ANYTHING a serve attempt throws — including the
@@ -442,7 +393,7 @@ Result<QueryResult> GcgtService::Attempt(WorkerSession& ws,
     }
     RunOptions run;
     run.backend = query.backend;
-    run.cancel = run_token;
+    run.cancel = query.cancel;
     Result<QueryResult> result = ws.session.Run(query.query, run);
     if (!result.ok() && result.status().IsOutOfMemory() &&
         options_.enable_oom_fallback &&
@@ -473,19 +424,13 @@ Result<QueryResult> GcgtService::Attempt(WorkerSession& ws,
 void GcgtService::Serve(int worker_index,
                         std::unordered_map<uint64_t, WorkerSession>& sessions,
                         Job job) {
-  JobState& state = *job.state;
+  JobState& state = *job;
   const uint64_t fingerprint = state.query.graph;
   const Backend backend = state.query.backend;
-
-  if (state.fulfilled.load(std::memory_order_acquire)) {
-    // The sibling attempt of a hedged pair already answered while this one
-    // was queued: drop it without touching a session.
-    ReleaseAttempt(state);
-    return;
-  }
+  const CancelToken& cancel = state.query.cancel;
 
   // Publish what this worker is running so the watchdog can spot a stuck
-  // attempt (running past deadline + grace without honoring its polls).
+  // query (running past deadline + grace without honoring its polls).
   struct SlotGuard {
     WorkerSlot& slot;
     SlotGuard(WorkerSlot& s, std::shared_ptr<JobState> running) : slot(s) {
@@ -496,20 +441,14 @@ void GcgtService::Serve(int worker_index,
       std::lock_guard<std::mutex> lock(slot.mu);
       slot.state = nullptr;
     }
-  } slot_guard(*slots_[worker_index], job.state);
-
-  // This attempt's run token: the client/deadline token plus this attempt's
-  // loser-abort flag (Fulfill cancels it when the sibling wins, so the
-  // losing traversal aborts at its next cooperative poll).
-  const CancelToken run_token =
-      state.query.cancel.WithLinkedSource(state.attempt_cancel[job.attempt]);
+  } slot_guard(*slots_[worker_index], job);
 
   bool degraded = false;
   FailCause cause = FailCause::kRun;
   Result<QueryResult> result = [&]() -> Result<QueryResult> {
     // Expiry/abort between pop and serve (queue sweeps catch most expiries
     // while QUEUED; this catches the rest) — fails without any worker time.
-    if (Status s = run_token.Check(); !s.ok()) return s;
+    if (Status s = cancel.Check(); !s.ok()) return s;
 
     // Injected spurious shed decision: behaves exactly like the sojourn
     // controller shedding this query (Unavailable, counted shed_overload).
@@ -560,14 +499,13 @@ void GcgtService::Serve(int worker_index,
     // ran inside Attempt) and caller aborts return immediately.
     Result<QueryResult> attempt = Status::Internal("no attempt ran");
     for (int n = 1; ; ++n) {
-      attempt = Attempt(it->second, state.query, run_token, degraded);
+      attempt = Attempt(it->second, state.query, degraded);
       if (attempt.ok() || !attempt.status().IsInternal() ||
           n >= options_.max_attempts) {
         break;
       }
-      // Never burn backoff sleeps on a query that is already dead (or whose
-      // hedge sibling already won).
-      if (Status s = run_token.Check(); !s.ok()) return s;
+      // Never burn backoff sleeps on a query that is already dead.
+      if (Status s = cancel.Check(); !s.ok()) return s;
       retries_.fetch_add(1, std::memory_order_relaxed);
       auto backoff = options_.retry_backoff_base * (int64_t{1} << (n - 1));
       std::this_thread::sleep_for(
@@ -597,21 +535,17 @@ void GcgtService::Serve(int worker_index,
   }();
 
   if (!result.ok()) {
-    FailAttempt(job, result.status(), cause);
+    Fail(state, result.status(), cause);
     return;
   }
 
-  // Winner-only accounting: the losing result of a hedged pair is discarded,
-  // so stats keep describing the results actually served. Out-of-core pager
-  // metrics: cache hits replay the memoized metrics of the run that produced
-  // them, so a hit on a paged artifact counts the same faults the original
-  // traversal charged — the stats describe the modeled cost of the results
-  // served, not host-side work performed.
-  const bool attempt_degraded = degraded;
+  // Out-of-core pager metrics: cache hits replay the memoized metrics of the
+  // run that produced them, so a hit on a paged artifact counts the same
+  // faults the original traversal charged — the stats describe the modeled
+  // cost of the results served, not host-side work performed.
   const TraversalMetrics metrics = result.value().metrics();
   Fulfill(state, std::move(result), [&] {
-    if (job.attempt == 1) hedge_wins_.fetch_add(1, std::memory_order_relaxed);
-    if (attempt_degraded) degraded_.fetch_add(1, std::memory_order_relaxed);
+    if (degraded) degraded_.fetch_add(1, std::memory_order_relaxed);
     if (metrics.warp.partition_faults != 0) {
       partition_faults_.fetch_add(metrics.warp.partition_faults,
                                   std::memory_order_relaxed);
@@ -626,7 +560,6 @@ void GcgtService::Serve(int worker_index,
                               seen, peak, std::memory_order_relaxed)) {
     }
   });
-  ReleaseAttempt(state);
 }
 
 void GcgtService::WatchdogLoop() {
@@ -636,14 +569,10 @@ void GcgtService::WatchdogLoop() {
                           [&] { return watchdog_stop_; });
     if (watchdog_stop_) return;
     lock.unlock();
-    // An injected tick fault skips the whole scan — the system must stay
-    // correct (just slower to hedge/detect) when the watchdog misses beats.
+    // An injected tick fault skips the scan — the system must stay correct
+    // (just slower to detect) when the watchdog misses beats.
     if (!FaultInjector::Global().ShouldInject(FaultPoint::kWatchdogTick)) {
       ScanStuck();
-      if (options_.qos.enable_hedging) ScanHedges();
-      if (options_.qos.brownout_watermark_bytes > 0 && cache_) {
-        ScanBrownout();
-      }
     }
     lock.lock();
   }
@@ -674,105 +603,6 @@ void GcgtService::ScanStuck() {
   }
 }
 
-std::chrono::nanoseconds GcgtService::HedgeDelay() const {
-  if (options_.qos.hedge_delay.count() > 0) return options_.qos.hedge_delay;
-  // Adaptive: a multiple of the observed completion-latency EWMA, floored —
-  // the tail-at-scale rule of thumb (hedge when a query outlives the typical
-  // one by a comfortable factor).
-  const uint64_t ewma = latency_ewma_ns_.load(std::memory_order_relaxed);
-  const auto adaptive = std::chrono::nanoseconds(static_cast<int64_t>(
-      static_cast<double>(ewma) * options_.qos.hedge_latency_factor));
-  return std::max(adaptive, options_.qos.hedge_min_delay);
-}
-
-void GcgtService::ObserveLatency(Clock::duration latency) {
-  const int64_t raw =
-      std::chrono::duration_cast<std::chrono::nanoseconds>(latency).count();
-  const uint64_t ns = raw < 0 ? 0 : static_cast<uint64_t>(raw);
-  const uint64_t prev = latency_ewma_ns_.load(std::memory_order_relaxed);
-  const uint64_t next = prev == 0 ? ns : (prev * 7 + ns) / 8;
-  latency_ewma_ns_.store(next, std::memory_order_relaxed);
-}
-
-void GcgtService::ScanHedges() {
-  const Clock::time_point now = Clock::now();
-  const std::chrono::nanoseconds delay = HedgeDelay();
-  std::vector<std::shared_ptr<JobState>> candidates;
-  {
-    std::lock_guard<std::mutex> lock(inflight_mu_);
-    for (auto it = inflight_.begin(); it != inflight_.end();) {
-      std::shared_ptr<JobState> state = it->lock();
-      if (!state || state->fulfilled.load(std::memory_order_acquire)) {
-        it = inflight_.erase(it);  // prune completed/abandoned entries
-        continue;
-      }
-      if (!state->hedged.load(std::memory_order_relaxed) &&
-          now - state->admitted_at >= delay) {
-        candidates.push_back(std::move(state));
-      }
-      ++it;
-    }
-  }
-  for (std::shared_ptr<JobState>& state : candidates) {
-    // Spare-capacity gate: hedges amplify load, and a hedge pushed behind a
-    // standing queue waits out the same backlog as its primary — pure waste.
-    // Only hedge when the queue is shallower than the worker pool (the
-    // hedge will be picked up about immediately); under real overload
-    // hedging self-disables.
-    if (queue_.size() >= static_cast<size_t>(options_.num_workers)) break;
-    if (state->hedged.exchange(true, std::memory_order_acq_rel)) continue;
-    if (FaultInjector::Global().ShouldInject(FaultPoint::kHedgeDispatch)) {
-      // Injected hedge-path fault: the dispatch is lost. The primary still
-      // owns the query, so correctness is untouched — only tail latency.
-      continue;
-    }
-    // The hedge only races a LIVE primary: raising live_attempts from zero
-    // is forbidden (a fully-failed query may already be fulfilled).
-    int live = state->live_attempts.load(std::memory_order_relaxed);
-    bool raised = false;
-    while (live > 0) {
-      if (state->live_attempts.compare_exchange_weak(
-              live, live + 1, std::memory_order_acq_rel)) {
-        raised = true;
-        break;
-      }
-    }
-    if (!raised) continue;
-    Job hedge{state, 1};
-    if (queue_.TryPush(hedge, state->query.priority,
-                       state->query.cancel.deadline()) ==
-        AdmissionQueue<Job>::PushResult::kOk) {
-      hedged_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      // Queue full or closed: give the liveness back (fulfilling the stored
-      // verdict if the primary failed in the meantime).
-      ReleaseAttempt(*state);
-    }
-  }
-}
-
-void GcgtService::ScanBrownout() {
-  const Clock::time_point now = Clock::now();
-  const size_t watermark = options_.qos.brownout_watermark_bytes;
-  const size_t resident = cache_->Stats().bytes;
-  if (!brownout_active_.load(std::memory_order_relaxed)) {
-    if (resident > watermark) {
-      // Memory pressure: shed cache weight now, until pressure stays off for
-      // the hold.
-      brownout_since_ = now;
-      brownout_events_.fetch_add(1, std::memory_order_relaxed);
-      cache_->SetBudget(static_cast<size_t>(
-          static_cast<double>(options_.cache_bytes) *
-          options_.qos.brownout_shrink));
-      brownout_active_.store(true, std::memory_order_release);
-    }
-  } else if (now - brownout_since_ >= options_.qos.brownout_hold &&
-             resident <= watermark / 2) {
-    cache_->SetBudget(options_.cache_bytes);
-    brownout_active_.store(false, std::memory_order_release);
-  }
-}
-
 ServiceStats GcgtService::Stats() const {
   ServiceStats stats;
   stats.submitted = submitted_.load(std::memory_order_relaxed);
@@ -790,11 +620,7 @@ ServiceStats GcgtService::Stats() const {
   stats.shed_overload = shed_overload_.load(std::memory_order_relaxed);
   stats.shed_rate_limited =
       shed_rate_limited_.load(std::memory_order_relaxed);
-  stats.hedged = hedged_.load(std::memory_order_relaxed);
-  stats.hedge_wins = hedge_wins_.load(std::memory_order_relaxed);
   stats.watchdog_stuck = watchdog_stuck_.load(std::memory_order_relaxed);
-  stats.brownout_events = brownout_events_.load(std::memory_order_relaxed);
-  stats.brownout_active = brownout_active_.load(std::memory_order_relaxed);
   stats.partition_faults = partition_faults_.load(std::memory_order_relaxed);
   stats.partition_spills = partition_spills_.load(std::memory_order_relaxed);
   stats.resident_bytes_peak =

@@ -5,13 +5,14 @@
 // prepared artifacts:
 //
 //   clients --Submit--> [admission queue] ----> worker pool --> results
-//                            |    ^                 |   ^
-//            fair admission  |    | hedges    per-worker |
-//            (token buckets) |    |           sessions   |
-//            EDF + shedding  |  [watchdog]        |      |
-//                            |    |               |      |
-//             registry of PreparedGraphs <--------+   result cache
-//             (one encode per fingerprint)          (sharded LRU)
+//                            |                    ^  |    ^
+//            fair admission  |     [watchdog] ----+  |    |
+//            (token buckets) |   (stuck scans)       |    |
+//            EDF + shedding  |                per-worker  |
+//                            |                 sessions   |
+//                            |                       |    |
+//             registry of PreparedGraphs <-----------+  result cache
+//             (one encode per fingerprint)             (sharded LRU)
 //
 //  - Registry: RegisterGraph runs VNC -> reorder -> CGR encode exactly once
 //    per artifact fingerprint; re-registering an identical (graph, options)
@@ -43,34 +44,24 @@
 //    over `qos.shed_target`; per-client token buckets
 //    (`qos.fair_tokens_per_sec`, keyed by ServiceQuery::client_id) shed a
 //    flooding tenant at admission before it can starve others.
-//  - Hedged requests: once `qos.enable_hedging` is set and a query has been
-//    in flight past the hedge delay (fixed, or adaptive from the EWMA of
-//    observed completion latency), the watchdog re-dispatches it to a
-//    second worker if the queue has spare capacity. First completion wins
-//    and fulfills the promise (exactly once); the loser's attempt token is
-//    cancelled and its result discarded. Winning results remain
-//    bit-identical to the oracle — both attempts run the same deterministic
-//    engine on the same artifact.
 //  - Watchdog & health: a background thread (qos.watchdog_interval) detects
 //    stuck workers — running one query `qos.stuck_grace` past its deadline,
 //    i.e. the engine missed its cooperative cancel polls — and feeds them,
-//    with per-attempt outcomes, into a per-artifact health score
+//    with per-query outcomes, into a per-artifact health score
 //    (HealthScore) and the artifact's circuit breaker.
-//  - Brownout: under memory pressure (result-cache resident bytes over
-//    `qos.brownout_watermark_bytes`) the watchdog shrinks the result-cache
-//    budget by `qos.brownout_shrink`, restoring it once pressure stays off
-//    for `qos.brownout_hold`. Brownout never changes results or their
-//    modeled metrics, so browned-out results are cached like any other.
 //
-// Robustness (the fault-tolerance layer of PR 6) is unchanged underneath:
+// Every query runs as exactly one job on one worker, and the result cache
+// has one byte budget (ServiceOptions::cache_bytes).
+//
+// Robustness (the fault-tolerance layer) sits underneath:
 // deadlines/cancellation honored while queued and mid-traversal, worker
 // exception containment + capped-backoff retries, per-artifact circuit
 // breaker, graceful OOM degradation onto a fallback backend, and seeded
-// deterministic fault injection (now also covering hedge dispatch, shed
-// decisions and watchdog ticks).
+// deterministic fault injection (also covering shed decisions and watchdog
+// ticks).
 //
-// Correctness under concurrency: with any worker count, the cache on,
-// hedging and shedding active, results are bit-identical to serial uncached
+// Correctness under concurrency: with any worker count, the cache on and
+// shedding active, results are bit-identical to serial uncached
 // GcgtSession runs on the same prepared artifact — BFS depths, canonical CC
 // labels, BC dependency doubles, and all modeled metrics (engines are
 // deterministic per artifact; see tests/service_test.cc and
@@ -87,7 +78,6 @@
 #include <cstdint>
 #include <functional>
 #include <future>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -108,7 +98,7 @@ namespace gcgt {
 /// Overload-control knobs. Defaults keep legacy behavior for everything but
 /// the admission discipline: EDF ordering with lazy expiry sweeping is on
 /// (it is a pure win — un-deadlined single-class workloads degenerate to
-/// FIFO), while shedding, fair admission, hedging and brownout are opt-in.
+/// FIFO), while shedding and fair admission are opt-in.
 struct QosOptions {
   /// EDF admission discipline (priority classes, deadline order, lazy
   /// expiry sweeping). false restores the legacy global FIFO — no
@@ -124,28 +114,12 @@ struct QosOptions {
   /// touching other clients.
   double fair_tokens_per_sec = 0.0;
   double fair_burst = 8.0;
-  /// Hedged requests (off by default: they trade duplicated work for tail
-  /// latency, a policy the operator must opt into).
-  bool enable_hedging = false;
-  /// Fixed hedge delay; 0 = adaptive: hedge_latency_factor x the EWMA of
-  /// observed completion latency, floored at hedge_min_delay.
-  std::chrono::nanoseconds hedge_delay{0};
-  std::chrono::nanoseconds hedge_min_delay{std::chrono::milliseconds(1)};
-  double hedge_latency_factor = 2.0;
-  /// Watchdog cadence; 0 disables the thread (and with it stuck detection,
-  /// hedging and brownout).
+  /// Watchdog cadence; 0 disables the thread (and with it stuck detection).
   std::chrono::nanoseconds watchdog_interval{std::chrono::milliseconds(5)};
   /// A worker running one query this long past the query's deadline is
   /// "stuck" (its engine missed the cooperative cancel polls): counted,
   /// health-scored, and reported to the artifact's circuit breaker.
   std::chrono::nanoseconds stuck_grace{std::chrono::milliseconds(50)};
-  /// Brownout watermark on result-cache resident bytes (0 disables).
-  size_t brownout_watermark_bytes = 0;
-  /// Budget multiplier applied to the result cache while browned out.
-  double brownout_shrink = 0.25;
-  /// Minimum brownout dwell before budgets are restored (pressure must
-  /// also have fallen to half the watermark).
-  std::chrono::nanoseconds brownout_hold{std::chrono::milliseconds(100)};
 };
 
 struct ServiceOptions {
@@ -211,11 +185,8 @@ struct ServiceQuery {
 /// Stats counting rules (audited by tests/overload_test.cc): `completed`
 /// counts every fulfilled future exactly once, and each of the verdict
 /// counters below (cancelled, deadline_exceeded, expired_in_queue,
-/// shed_overload, hedge_wins, degraded) is attributed exactly once, to the
-/// attempt/cause that actually fulfilled the promise — a query swept from
-/// the queue but rescued by a winning hedge counts as a success, not an
-/// expiry. `hedged` counts dispatched hedge attempts (a hedged query that
-/// loses its race adds to `hedged` but nothing else).
+/// shed_overload, degraded) is attributed exactly once, to the verdict that
+/// fulfilled the promise.
 struct ServiceStats {
   uint64_t submitted = 0;   ///< accepted into the queue
   uint64_t rejected = 0;    ///< shed by TrySubmit admission control
@@ -236,11 +207,7 @@ struct ServiceStats {
   uint64_t shed_overload = 0;     ///< shed by the sojourn controller (incl.
                                   ///< injected shed decisions)
   uint64_t shed_rate_limited = 0; ///< shed by per-client token buckets
-  uint64_t hedged = 0;            ///< hedge attempts dispatched
-  uint64_t hedge_wins = 0;        ///< queries answered by their hedge
   uint64_t watchdog_stuck = 0;    ///< stuck-worker detections
-  uint64_t brownout_events = 0;   ///< times brownout mode engaged
-  bool brownout_active = false;   ///< browned out right now
   // Out-of-core pager counters, summed over every successful result served
   // (cache hits replay the memoized metrics, so they count identically):
   uint64_t partition_faults = 0;  ///< partitions faulted in from the
@@ -330,36 +297,20 @@ class GcgtService {
  private:
   using Clock = CancelToken::Clock;
 
-  /// Why an attempt failed without producing a run verdict; decides which
-  /// overload counter the query is attributed to IF this cause ends up
-  /// fulfilling the promise.
+  /// Why a query failed without producing a run verdict; decides which
+  /// overload counter the query is attributed to.
   enum class FailCause { kRun, kExpiredInQueue, kShedOverload };
 
-  /// Shared per-query state: both attempts of a hedged pair point here.
-  /// The promise is fulfilled exactly once (`fulfilled` exchange); error
-  /// verdicts wait for the LAST live attempt (`live_attempts`), so a failed
-  /// primary can never preempt a hedge that might still succeed.
+  /// Per-query state. A query is one job: it leaves the queue exactly once
+  /// (served, swept or shed), so its promise is fulfilled exactly once.
+  /// The watchdog reads a running job through its worker's slot.
   struct JobState {
     ServiceQuery query;  // BC sources canonicalized at admission
     std::promise<Result<QueryResult>> promise;
-    Clock::time_point admitted_at{};
-    std::atomic<bool> fulfilled{false};
-    std::atomic<int> live_attempts{1};
-    std::atomic<bool> hedged{false};
+    std::atomic<bool> fulfilled{false};  // ScanStuck skips answered jobs
     std::atomic<bool> stuck_reported{false};
-    /// Per-attempt loser-abort writer ends; Fulfill cancels both so the
-    /// losing attempt stops at its next cooperative poll.
-    CancelSource attempt_cancel[2];
-    /// Pending error verdict, applied by the last live attempt.
-    std::mutex verdict_mu;
-    Status error = Status::Internal("query produced no verdict");
-    FailCause error_cause = FailCause::kRun;
   };
-
-  struct Job {
-    std::shared_ptr<JobState> state;
-    int attempt = 0;  ///< 0 = primary, 1 = hedge
-  };
+  using Job = std::shared_ptr<JobState>;
 
   /// A worker's per-artifact serving state: the session (engine) plus the
   /// registry entry keeping the shared encode alive.
@@ -382,7 +333,6 @@ class GcgtService {
 
   std::shared_ptr<JobState> MakeState(ServiceQuery query);
   bool FairAdmit(uint64_t client_id);
-  void RegisterInflight(const std::shared_ptr<JobState>& state);
 
   void WorkerLoop(int worker_index);
   void Serve(int worker_index,
@@ -390,28 +340,18 @@ class GcgtService {
   /// One guarded attempt on the worker's session: fault injection, exception
   /// containment, OOM fallback. Sets `degraded` when the fallback answered.
   Result<QueryResult> Attempt(WorkerSession& ws, const ServiceQuery& query,
-                              const CancelToken& run_token, bool& degraded);
+                              bool& degraded);
 
-  /// First-completion-wins: fulfills the promise (exactly once), cancels
-  /// both attempt tokens, observes latency and counts the verdict. False
-  /// when the sibling attempt already won. `on_win` runs after winning the
-  /// race but BEFORE set_value: all per-query accounting goes through it, so
-  /// a client that wakes on the future never reads Stats() mid-update.
-  bool Fulfill(JobState& state, Result<QueryResult> result,
-               const std::function<void()>& on_win = nullptr);
-  /// Records a failed attempt's verdict and releases its liveness; the LAST
-  /// live attempt's stored verdict fulfills the promise.
-  void FailAttempt(Job& job, Status status, FailCause cause);
-  /// Drops one live attempt; fulfills the stored error verdict if it was
-  /// the last (no-op if the promise is already fulfilled).
-  void ReleaseAttempt(JobState& state);
+  /// Fulfills the promise and counts the verdict. `account` runs BEFORE
+  /// set_value: all per-query accounting goes through it, so a client that
+  /// wakes on the future never reads Stats() mid-update.
+  void Fulfill(JobState& state, Result<QueryResult> result,
+               const std::function<void()>& account = nullptr);
+  /// Fulfills the promise with an error, attributing `cause`.
+  void Fail(JobState& state, Status status, FailCause cause);
 
   void WatchdogLoop();
   void ScanStuck();
-  void ScanHedges();
-  void ScanBrownout();
-  std::chrono::nanoseconds HedgeDelay() const;
-  void ObserveLatency(Clock::duration latency);
 
   /// The artifact's breaker, created on first use (never null).
   std::shared_ptr<CircuitBreaker> BreakerFor(uint64_t fingerprint);
@@ -432,11 +372,6 @@ class GcgtService {
   std::mutex buckets_mu_;
   std::unordered_map<uint64_t, TokenBucket> buckets_;
 
-  /// Weak registry of queries admitted while hedging is enabled; the
-  /// watchdog scans it for hedge candidates and prunes completed entries.
-  std::mutex inflight_mu_;
-  std::list<std::weak_ptr<JobState>> inflight_;
-
   AdmissionQueue<Job> queue_;
   std::vector<std::thread> workers_;
   std::vector<std::unique_ptr<WorkerSlot>> slots_;  // one per worker
@@ -446,15 +381,6 @@ class GcgtService {
   std::mutex watchdog_mu_;
   std::condition_variable watchdog_cv_;
   bool watchdog_stop_ = false;
-
-  // Brownout state (written by the watchdog; workers read the flag).
-  std::atomic<bool> brownout_active_{false};
-  Clock::time_point brownout_since_{};  // watchdog-thread-only
-
-  /// EWMA of observed completion latency (ns); feeds the adaptive hedge
-  /// delay. Load/modify/store is deliberately non-atomic-RMW: a lost update
-  /// only smears the average.
-  std::atomic<uint64_t> latency_ewma_ns_{0};
 
   std::atomic<uint64_t> submitted_{0};
   std::atomic<uint64_t> rejected_{0};
@@ -469,10 +395,7 @@ class GcgtService {
   std::atomic<uint64_t> expired_in_queue_{0};
   std::atomic<uint64_t> shed_overload_{0};
   std::atomic<uint64_t> shed_rate_limited_{0};
-  std::atomic<uint64_t> hedged_{0};
-  std::atomic<uint64_t> hedge_wins_{0};
   std::atomic<uint64_t> watchdog_stuck_{0};
-  std::atomic<uint64_t> brownout_events_{0};
   std::atomic<uint64_t> partition_faults_{0};
   std::atomic<uint64_t> partition_spills_{0};
   std::atomic<uint64_t> resident_bytes_peak_{0};

@@ -21,11 +21,10 @@ void CanonicalizePairQuery(Query& query) {
   }
 }
 
-ResultCache::ResultCache(size_t max_bytes, size_t num_shards) {
-  const size_t n = std::bit_ceil(num_shards < 1 ? size_t{1} : num_shards);
-  shards_.reserve(n);
-  for (size_t i = 0; i < n; ++i) shards_.push_back(std::make_unique<Shard>());
-  bytes_per_shard_ = max_bytes / n;
+ResultCache::ResultCache(size_t max_bytes, size_t num_shards)
+    : shards_(std::bit_ceil(std::max<size_t>(num_shards, 1))),
+      bytes_per_shard_(max_bytes / shards_.size()) {
+  for (auto& shard : shards_) shard = std::make_unique<Shard>();
 }
 
 bool ResultCache::Cacheable(const Query& query) {
@@ -133,8 +132,7 @@ std::shared_ptr<const QueryResult> ResultCache::Lookup(
 void ResultCache::Insert(const ResultCacheKey& key,
                          std::shared_ptr<const QueryResult> result) {
   const size_t bytes = ResultBytes(*result);
-  const size_t budget = bytes_per_shard_.load(std::memory_order_relaxed);
-  if (bytes > budget) return;  // would evict the whole shard
+  if (bytes > bytes_per_shard_) return;  // would evict the whole shard
   Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mu);
   if (auto it = shard.map.find(key); it != shard.map.end()) {
@@ -143,30 +141,18 @@ void ResultCache::Insert(const ResultCacheKey& key,
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
     return;
   }
-  TrimShardLocked(shard, budget >= bytes ? budget - bytes : 0);
-  shard.lru.push_front(Entry{key, std::move(result), bytes});
-  shard.map.emplace(key, shard.lru.begin());
-  shard.bytes += bytes;
-  insertions_.fetch_add(1, std::memory_order_relaxed);
-}
-
-void ResultCache::TrimShardLocked(Shard& shard, size_t budget) {
-  while (shard.bytes > budget && !shard.lru.empty()) {
+  // Evict the LRU tail until the new entry fits the shard's byte share.
+  while (shard.bytes + bytes > bytes_per_shard_ && !shard.lru.empty()) {
     const Entry& victim = shard.lru.back();
     shard.bytes -= victim.bytes;
     shard.map.erase(victim.key);
     shard.lru.pop_back();
     evictions_.fetch_add(1, std::memory_order_relaxed);
   }
-}
-
-void ResultCache::SetBudget(size_t max_bytes) {
-  const size_t per_shard = max_bytes / shards_.size();
-  bytes_per_shard_.store(per_shard, std::memory_order_relaxed);
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    TrimShardLocked(*shard, per_shard);
-  }
+  shard.lru.push_front(Entry{key, std::move(result), bytes});
+  shard.map.emplace(key, shard.lru.begin());
+  shard.bytes += bytes;
+  insertions_.fetch_add(1, std::memory_order_relaxed);
 }
 
 ResultCacheStats ResultCache::Stats() const {
@@ -175,7 +161,6 @@ ResultCacheStats ResultCache::Stats() const {
   stats.misses = misses_.load(std::memory_order_relaxed);
   stats.insertions = insertions_.load(std::memory_order_relaxed);
   stats.evictions = evictions_.load(std::memory_order_relaxed);
-  stats.budget = budget();
   for (const auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mu);
     stats.entries += shard->map.size();

@@ -79,7 +79,6 @@ struct ResultCacheStats {
   uint64_t evictions = 0;     ///< entries dropped to fit the byte budget
   size_t entries = 0;         ///< resident entries right now
   size_t bytes = 0;           ///< resident approximate bytes right now
-  size_t budget = 0;          ///< byte budget right now (shrunk by brownout)
 };
 
 class ResultCache {
@@ -110,16 +109,6 @@ class ResultCache {
   /// Approximate heap bytes of one cached result (the eviction weight).
   static size_t ResultBytes(const QueryResult& result);
 
-  /// Brownout hook (see GcgtService watchdog): re-budgets the cache to
-  /// `max_bytes` total (split evenly across shards) and immediately trims
-  /// each shard's LRU tail to fit. Thread-safe; restoring a larger budget
-  /// later just lets shards grow back.
-  void SetBudget(size_t max_bytes);
-  /// Current total byte budget across all shards.
-  size_t budget() const {
-    return bytes_per_shard_.load(std::memory_order_relaxed) * shards_.size();
-  }
-
   ResultCacheStats Stats() const;
   void Clear();
 
@@ -143,13 +132,8 @@ class ResultCache {
     return *shards_[key.Hash() & (shards_.size() - 1)];
   }
 
-  /// Evicts the shard's LRU tail until its bytes fit `budget`.
-  void TrimShardLocked(Shard& shard, size_t budget);
-
-  /// Per-shard byte budget; atomic because SetBudget (watchdog thread)
-  /// races benignly with Insert's budget reads on worker threads.
-  std::atomic<size_t> bytes_per_shard_;
   std::vector<std::unique_ptr<Shard>> shards_;
+  const size_t bytes_per_shard_;  // the byte budget split evenly
   std::atomic<uint64_t> hits_{0};
   std::atomic<uint64_t> misses_{0};
   std::atomic<uint64_t> insertions_{0};

@@ -25,8 +25,6 @@
 
 namespace gcgt {
 
-class CancelSource;
-
 class CancelToken {
  public:
   using Clock = std::chrono::steady_clock;
@@ -53,24 +51,13 @@ class CancelToken {
   bool has_deadline() const { return deadline_ != Clock::time_point::max(); }
   Clock::time_point deadline() const { return deadline_; }
 
-  /// This token, additionally observing `source`'s cancel flag — how the
-  /// serving tier layers a per-attempt abort (cancel the losing hedge of a
-  /// first-completion-wins pair) onto a client's token without touching the
-  /// client's shared flag. A token carries at most two flags; linking again
-  /// replaces the attempt flag. Defined after CancelSource.
-  inline CancelToken WithLinkedSource(const CancelSource& source) const;
-
   /// True when Check() can ever return non-OK — lets hot loops skip the
   /// clock read for default tokens.
-  bool CanExpire() const {
-    return flag_ != nullptr || linked_flag_ != nullptr || has_deadline();
-  }
+  bool CanExpire() const { return flag_ != nullptr || has_deadline(); }
 
-  /// True once either observed source was cancelled (deadline not
-  /// considered).
+  /// True once the source was cancelled (deadline not considered).
   bool cancelled() const {
-    return (flag_ && flag_->load(std::memory_order_acquire)) ||
-           (linked_flag_ && linked_flag_->load(std::memory_order_acquire));
+    return flag_ && flag_->load(std::memory_order_acquire);
   }
 
   /// OK, Cancelled (explicit cancel wins) or DeadlineExceeded as of `now`.
@@ -94,8 +81,6 @@ class CancelToken {
  private:
   friend class CancelSource;
   std::shared_ptr<const std::atomic<bool>> flag_;  // null: never cancelled
-  /// Second observed flag (WithLinkedSource); null for client-made tokens.
-  std::shared_ptr<const std::atomic<bool>> linked_flag_;
   Clock::time_point deadline_ = Clock::time_point::max();
 };
 
@@ -120,16 +105,8 @@ class CancelSource {
   }
 
  private:
-  friend class CancelToken;
   std::shared_ptr<std::atomic<bool>> flag_;
 };
-
-inline CancelToken CancelToken::WithLinkedSource(
-    const CancelSource& source) const {
-  CancelToken token(*this);
-  token.linked_flag_ = source.flag_;
-  return token;
-}
 
 }  // namespace gcgt
 

@@ -13,7 +13,6 @@ const char* FaultPointName(FaultPoint point) {
     case FaultPoint::kDecodeRound: return "decode_round";
     case FaultPoint::kCacheLookup: return "cache_lookup";
     case FaultPoint::kCacheInsert: return "cache_insert";
-    case FaultPoint::kHedgeDispatch: return "hedge_dispatch";
     case FaultPoint::kIntersectKernel: return "intersect_kernel";
     case FaultPoint::kShedDecision: return "shed_decision";
     case FaultPoint::kWatchdogTick: return "watchdog_tick";

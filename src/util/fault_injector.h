@@ -14,13 +14,17 @@
 // a shed admission, a thrown worker exception, an Internal decode error, a
 // forced cache miss — so the injector stays policy-free.
 //
-// Cost when disabled: one relaxed atomic load (the common case in
-// production and in every non-chaos test).
+// Cost when disabled: one acquire load (a plain load on x86; the common case
+// in production and in every non-chaos test).
 //
 // Configuration is process-global (points are buried in hot paths where
-// threading an instance through would be invasive). Enable/Disable must not
-// race with in-flight serving: enable before constructing services, disable
-// after Shutdown. GcgtService::GcgtService also calls InitFromEnv(), so any
+// threading an instance through would be invasive). Enabling a DISABLED
+// injector may race with serving threads that poll it (a service's watchdog
+// always does): ShouldInject's acquire load pairs with Enable's release
+// store, so a thread that sees the injector armed also sees its seed, rate
+// and mask. Re-arming an armed injector must not race with in-flight
+// serving: disable first, or enable before constructing services.
+// GcgtService::GcgtService also calls InitFromEnv(), so any
 // binary can be put under chaos externally:
 //   GCGT_FAULT_SEED=42 GCGT_FAULT_RATE=0.05 [GCGT_FAULT_POINTS=0x1f] ./app
 #ifndef GCGT_UTIL_FAULT_INJECTOR_H_
@@ -38,10 +42,9 @@ enum class FaultPoint : int {
   kDecodeRound,     ///< TraversalPipeline round loop: Internal decode error
   kCacheLookup,     ///< result cache: lookup reports a miss
   kCacheInsert,     ///< result cache: insertion is dropped
-  kHedgeDispatch,   ///< watchdog: a due hedge re-dispatch is suppressed
   kShedDecision,    ///< worker serve: a spurious overload shed (Unavailable)
-  kWatchdogTick,    ///< watchdog: a whole tick (stuck/hedge/brownout
-                    ///< scans) is skipped
+  kWatchdogTick,    ///< watchdog: a whole tick (the stuck-worker scan) is
+                    ///< skipped
   kIntersectKernel, ///< intersect engine kernel loop: Internal error
   kNumPoints,
 };
@@ -86,7 +89,7 @@ class FaultInjector {
   /// The per-point decision. False whenever disabled or the point is masked
   /// out; otherwise deterministic in (seed, point, per-point ordinal).
   bool ShouldInject(FaultPoint point) {
-    if (!enabled_.load(std::memory_order_relaxed)) return false;
+    if (!enabled_.load(std::memory_order_acquire)) return false;
     return Roll(point);
   }
 

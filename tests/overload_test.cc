@@ -5,17 +5,14 @@
 //    the lowest class, FIFO mode restores legacy semantics, close drains,
 //  - TokenBucket: burst-then-sustained admission as a pure function of the
 //    call trace,
-//  - CancelToken::WithLinkedSource: an attempt token observes its own abort
-//    flag AND the client's,
 //  - the service under overload: interactive work survives a best-effort
 //    flood, queue-expired deadlines and shed decisions are counted exactly
 //    once, per-client fair admission bounds a flooder without touching a
-//    light client, hedged successes are bit-identical to the oracle, the
-//    watchdog reports a worker stuck past its deadline into the health
-//    score and breaker, brownout shrinks the result-cache budget without
-//    changing results and still memoizes them,
-//  - chaos with the full QoS stack armed: every accepted future fulfilled,
-//    successes bit-identical to the no-fault oracle.
+//    light client, the watchdog reports a worker stuck past its deadline
+//    into the health score and breaker,
+//  - chaos with the QoS stack armed (EDF, shedding, watchdog): every
+//    accepted future fulfilled, successes bit-identical to the no-fault
+//    oracle.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -311,26 +308,6 @@ TEST(TokenBucket, ExactRateSubmitterIsNeverShed) {
   }
 }
 
-// ---------------------------------------------------------- linked tokens
-
-TEST(CancelToken, WithLinkedSourceObservesBothFlags) {
-  CancelSource client;
-  CancelSource attempt;
-  CancelToken base = client.token();
-  CancelToken linked = base.WithLinkedSource(attempt);
-  EXPECT_TRUE(linked.CanExpire());
-  EXPECT_TRUE(linked.Check().ok());
-
-  attempt.Cancel();  // the sibling attempt won the hedge race
-  EXPECT_TRUE(linked.Check().IsCancelled());
-  // The link is one-way: the client token is untouched...
-  EXPECT_TRUE(base.Check().ok());
-
-  CancelToken linked2 = base.WithLinkedSource(CancelSource{});
-  client.Cancel();  // ...and the client flag still cancels every attempt
-  EXPECT_TRUE(linked2.Check().IsCancelled());
-}
-
 // ------------------------------------------------- service: EDF + shedding
 
 TEST(ServiceOverload, InteractiveClassSurvivesBestEffortFlood) {
@@ -488,44 +465,6 @@ TEST(ServiceOverload, TokenBucketBoundsAFlooderWithoutTouchingOthers) {
   EXPECT_EQ(stats.completed, 44u);
 }
 
-// ------------------------------------------------------- service: hedging
-
-TEST(ServiceOverload, HedgedSuccessIsBitIdenticalToOracle) {
-  Graph g = TestGraph();
-  // The oracle: a fresh serial session, no cache, no faults.
-  auto oracle_session = GcgtSession::Prepare(g);
-  ASSERT_TRUE(oracle_session.ok());
-  BcQuery slow;  // enough sources that a run comfortably outlives the delay
-  for (NodeId s = 0; s < 96; ++s) slow.sources.push_back(s * 7 % 800);
-  auto want = oracle_session.value().Run(slow);
-  ASSERT_TRUE(want.ok());
-
-  ServiceOptions opt;
-  opt.num_workers = 2;  // the hedge needs a second worker to race on
-  opt.cache_bytes = 0;  // a cache hit would serve the hedge without a run
-  opt.qos.enable_hedging = true;
-  opt.qos.hedge_delay = microseconds(200);  // fixed, far below the runtime
-  opt.qos.watchdog_interval = microseconds(100);
-  GcgtService service(opt);
-  auto id = service.RegisterGraph(g);
-  ASSERT_TRUE(id.ok());
-
-  for (int rep = 0; rep < 8; ++rep) {
-    auto r = service.Submit({id.value(), slow}).get();
-    ASSERT_TRUE(r.ok()) << r.status().ToString();
-    // First completion won; whichever attempt it was, the result is the
-    // oracle's bit for bit.
-    ExpectSameResult(r.value(), want.value());
-  }
-  const ServiceStats stats = service.Stats();
-  EXPECT_GT(stats.hedged, 0u);
-  EXPECT_LE(stats.hedge_wins, stats.hedged);
-  // Losing attempts are aborted via their linked flag, not the client's:
-  // no query is ever REPORTED cancelled.
-  EXPECT_EQ(stats.cancelled, 0u);
-  EXPECT_EQ(stats.completed, 8u);
-}
-
 // ------------------------------------------------------ service: watchdog
 
 TEST(ServiceOverload, WatchdogReportsAStuckWorkerIntoHealthAndBreaker) {
@@ -565,74 +504,14 @@ TEST(ServiceOverload, WatchdogReportsAStuckWorkerIntoHealthAndBreaker) {
   EXPECT_EQ(service.HealthScore(~id.value()), 1.0);
 }
 
-// ------------------------------------------------------ service: brownout
-
-TEST(ServiceOverload, BrownoutShedsBudgetsWithoutChangingLabels) {
-  Graph g = TestGraph();
-  auto oracle_session = GcgtSession::Prepare(g);
-  ASSERT_TRUE(oracle_session.ok());
-
-  ServiceOptions opt;
-  opt.num_workers = 1;
-  // Any cached byte trips the watermark; the hold is effectively forever,
-  // so the brownout persists for the rest of the test.
-  opt.qos.brownout_watermark_bytes = 1;
-  opt.qos.brownout_hold = hours(1);
-  opt.qos.brownout_shrink = 0.5;
-  opt.qos.watchdog_interval = microseconds(200);
-  GcgtService service(opt);
-  auto id = service.RegisterGraph(g);
-  ASSERT_TRUE(id.ok());
-  const size_t shrunk_budget = static_cast<size_t>(
-      static_cast<double>(opt.cache_bytes) * opt.qos.brownout_shrink);
-
-  // Populate the cache; the next watchdog tick sees resident > watermark.
-  auto first = service.Submit({id.value(), BfsQuery{0}}).get();
-  ASSERT_TRUE(first.ok());
-  const Clock::time_point give_up = Clock::now() + std::chrono::seconds(5);
-  while (!service.Stats().brownout_active && Clock::now() < give_up) {
-    std::this_thread::sleep_for(microseconds(200));
-  }
-  ASSERT_TRUE(service.Stats().brownout_active) << "brownout never engaged";
-  EXPECT_EQ(service.Stats().cache.budget, shrunk_budget);
-  const ResultCacheStats at_entry = service.Stats().cache;
-
-  // A browned-out run answers with the oracle's labels and metrics...
-  auto browned = service.Submit({id.value(), BfsQuery{3}}).get();
-  ASSERT_TRUE(browned.ok());
-  auto want = oracle_session.value().Run(BfsQuery{3});
-  ASSERT_TRUE(want.ok());
-  EXPECT_EQ(browned.value().bfs().depth, want.value().bfs().depth);
-  EXPECT_EQ(browned.value().metrics().model_ms,
-            want.value().metrics().model_ms);
-  EXPECT_EQ(browned.value().metrics().warp, want.value().metrics().warp);
-
-  // ...so it is memoized like any other result: the resubmission hits the
-  // cache and returns it bit for bit.
-  EXPECT_EQ(service.Stats().cache.insertions, at_entry.insertions + 1);
-  auto again = service.Submit({id.value(), BfsQuery{3}}).get();
-  ASSERT_TRUE(again.ok());
-  EXPECT_EQ(service.Stats().cache.hits, at_entry.hits + 1);
-  EXPECT_EQ(again.value().bfs().depth, browned.value().bfs().depth);
-  EXPECT_EQ(again.value().metrics().model_ms,
-            browned.value().metrics().model_ms);
-  EXPECT_EQ(again.value().metrics().warp, browned.value().metrics().warp);
-
-  // The shrunken budget holds for as long as the brownout does.
-  const ServiceStats end = service.Stats();
-  EXPECT_TRUE(end.brownout_active);
-  EXPECT_EQ(end.cache.budget, shrunk_budget);
-  EXPECT_GE(end.brownout_events, 1u);
-}
-
 // --------------------------------------------------------- service: chaos
 
 TEST(ServiceOverload, ChaosWithFullQosStackFulfillsEveryFuture) {
   // The robustness chaos test covers the legacy path; this one arms every
-  // fault point — including hedge_dispatch, shed_decision and watchdog_tick
-  // — with the whole QoS stack live: EDF, aggressive CoDel shedding,
-  // hedging and the watchdog. Overridable like the robustness chaos run:
-  // GCGT_CHAOS_SEED / GCGT_CHAOS_RATE.
+  // fault point — including shed_decision and watchdog_tick — with the
+  // whole QoS stack live: EDF, aggressive CoDel shedding and the watchdog.
+  // Overridable like the robustness chaos run: GCGT_CHAOS_SEED /
+  // GCGT_CHAOS_RATE.
   uint64_t seed = 42;
   double rate = 0.05;
   if (const char* s = std::getenv("GCGT_CHAOS_SEED")) seed = std::stoull(s);
@@ -663,8 +542,6 @@ TEST(ServiceOverload, ChaosWithFullQosStackFulfillsEveryFuture) {
   opt.breaker.failure_threshold = 0;  // quarantine has its own tests
   opt.qos.shed_target = microseconds(500);
   opt.qos.shed_interval = microseconds(500);
-  opt.qos.enable_hedging = true;
-  opt.qos.hedge_delay = milliseconds(2);
   opt.qos.watchdog_interval = microseconds(500);
   GcgtService service(opt);
   auto id = service.RegisterGraph(g);
@@ -700,11 +577,10 @@ TEST(ServiceOverload, ChaosWithFullQosStackFulfillsEveryFuture) {
     service.Shutdown();
   }
   const ServiceStats stats = service.Stats();
-  // The exactly-once ledger balances even with hedges in flight: every
-  // accepted future fulfilled once, every verdict in exactly one bucket.
+  // The exactly-once ledger balances: every accepted future fulfilled once,
+  // every verdict in exactly one bucket.
   EXPECT_EQ(stats.completed, workload.size());
   EXPECT_EQ(succeeded + failed, workload.size());
-  EXPECT_GE(stats.hedge_wins + succeeded, succeeded);  // wins ⊆ successes
   EXPECT_GT(succeeded, 0u) << "rate " << rate << " drowned every query";
   EXPECT_GT(FaultInjector::Global().Stats().total_injected(), 0u);
 }
@@ -713,8 +589,6 @@ TEST(ServiceOverload, ShutdownWithQosStackFulfillsEverything) {
   Graph g = TestGraph();
   ServiceOptions opt;
   opt.num_workers = 2;
-  opt.qos.enable_hedging = true;
-  opt.qos.hedge_delay = microseconds(100);
   opt.qos.watchdog_interval = microseconds(100);
   opt.qos.shed_target = microseconds(100);
   opt.qos.shed_interval = microseconds(100);

@@ -6,6 +6,8 @@
 //  - one encode per artifact fingerprint; engine constructions bounded by
 //    the worker pool (encode/engine reuse accounting),
 //  - cache on/off equivalence, deterministic hit accounting on one worker,
+//  - the result cache's byte budget: LRU-tail eviction, recency refresh on
+//    lookup, oversized results skipped, resident bytes within the budget,
 //  - backpressure: all accepted queries complete; graceful shutdown drains,
 //  - admission control and error paths (unknown graph, shut-down service).
 #include <gtest/gtest.h>
@@ -18,6 +20,7 @@
 #include "core/cgr_traversal.h"
 #include "graph/generators.h"
 #include "service/gcgt_service.h"
+#include "service/result_cache.h"
 
 namespace gcgt {
 namespace {
@@ -438,6 +441,120 @@ TEST(GcgtService, DistinctArtifactsServeSideBySide) {
   ASSERT_TRUE(ra.ok() && rb.ok());
   EXPECT_EQ(ra.value().cc().component.size(), a.num_nodes());
   EXPECT_EQ(rb.value().cc().component.size(), b.num_nodes());
+}
+
+// ------------------------------------------------- result cache byte budget
+
+ResultCacheKey BfsKey(NodeId source) {
+  return ResultCache::KeyFor(/*fingerprint=*/1, Backend::kCgrSimt,
+                             BfsQuery{source})
+      .value();
+}
+
+/// A BFS result with `nodes` depth entries; its eviction weight is
+/// ResultCache::ResultBytes of it.
+std::shared_ptr<const QueryResult> BfsResult(size_t nodes) {
+  GcgtBfsResult r;
+  r.depth.resize(nodes, 1);
+  return std::make_shared<const QueryResult>(std::move(r));
+}
+
+TEST(ResultCache, InsertPastTheByteShareEvictsTheLruTail) {
+  const size_t one = ResultCache::ResultBytes(*BfsResult(100));
+  ResultCache cache(2 * one + one / 2, /*num_shards=*/1);  // room for two
+  cache.Insert(BfsKey(0), BfsResult(100));
+  cache.Insert(BfsKey(1), BfsResult(100));
+  EXPECT_EQ(cache.Stats().entries, 2u);
+  EXPECT_EQ(cache.Stats().evictions, 0u);
+
+  cache.Insert(BfsKey(2), BfsResult(100));  // evicts source 0, the LRU tail
+  const ResultCacheStats stats = cache.Stats();
+  EXPECT_EQ(stats.evictions, 1u);
+  EXPECT_EQ(stats.entries, 2u);
+  EXPECT_EQ(stats.bytes, 2 * one);
+  EXPECT_EQ(cache.Lookup(BfsKey(0)), nullptr);
+  EXPECT_NE(cache.Lookup(BfsKey(1)), nullptr);
+  EXPECT_NE(cache.Lookup(BfsKey(2)), nullptr);
+}
+
+TEST(ResultCache, LookupRefreshesRecency) {
+  const size_t one = ResultCache::ResultBytes(*BfsResult(100));
+  ResultCache cache(2 * one + one / 2, /*num_shards=*/1);
+  cache.Insert(BfsKey(0), BfsResult(100));
+  cache.Insert(BfsKey(1), BfsResult(100));
+  ASSERT_NE(cache.Lookup(BfsKey(0)), nullptr);  // 0 is now most recent
+
+  cache.Insert(BfsKey(2), BfsResult(100));  // so source 1 is the victim
+  EXPECT_EQ(cache.Stats().evictions, 1u);
+  EXPECT_NE(cache.Lookup(BfsKey(0)), nullptr);
+  EXPECT_EQ(cache.Lookup(BfsKey(1)), nullptr);
+  EXPECT_NE(cache.Lookup(BfsKey(2)), nullptr);
+}
+
+TEST(ResultCache, ResultLargerThanAShardShareIsNotCached) {
+  const size_t one = ResultCache::ResultBytes(*BfsResult(10000));
+  // The total budget holds the result twice over, but each of the 4 shards
+  // gets half of it.
+  ResultCache cache(2 * one, /*num_shards=*/4);
+  cache.Insert(BfsKey(0), BfsResult(10000));
+  cache.Insert(BfsKey(1), BfsResult(1));  // a small one still fits
+  const ResultCacheStats stats = cache.Stats();
+  EXPECT_EQ(stats.insertions, 1u);
+  EXPECT_EQ(stats.entries, 1u);
+  EXPECT_EQ(stats.evictions, 0u);
+  EXPECT_EQ(cache.Lookup(BfsKey(0)), nullptr);
+  EXPECT_NE(cache.Lookup(BfsKey(1)), nullptr);
+}
+
+TEST(ResultCache, ResidentBytesNeverExceedTheBudget) {
+  const size_t budget = 4 * ResultCache::ResultBytes(*BfsResult(100));
+  ResultCache cache(budget, /*num_shards=*/2);
+  for (NodeId s = 0; s < 64; ++s) {
+    cache.Insert(BfsKey(s), BfsResult(10 + (s * 37) % 90));
+    EXPECT_LE(cache.Stats().bytes, budget) << "after insert " << s;
+  }
+  EXPECT_GT(cache.Stats().evictions, 0u);
+}
+
+TEST(GcgtService, CacheBytesBoundsResidentResults) {
+  Graph g = MakeGraph("er");
+  auto oracle = GcgtSession::Prepare(g);
+  ASSERT_TRUE(oracle.ok());
+  auto probe = oracle.value().Run(BfsQuery{0});
+  ASSERT_TRUE(probe.ok());
+
+  ServiceOptions opt;
+  opt.num_workers = 1;
+  opt.cache_shards = 1;
+  // Room for three BFS results of this graph, weighed as the cache weighs
+  // its own copies.
+  const size_t one = ResultCache::ResultBytes(QueryResult(probe.value()));
+  opt.cache_bytes = 3 * one + 1;
+  GcgtService service(opt);
+  auto id = service.RegisterGraph(g);
+  ASSERT_TRUE(id.ok());
+
+  for (NodeId s = 0; s < 10; ++s) {
+    auto r = service.Submit({id.value(), BfsQuery{s}}).get();
+    ASSERT_TRUE(r.ok());
+    EXPECT_LE(service.Stats().cache.bytes, opt.cache_bytes);
+  }
+  ResultCacheStats stats = service.Stats().cache;
+  EXPECT_EQ(stats.entries, 3u);
+  EXPECT_EQ(stats.evictions, 7u);
+
+  // The most recent result is still resident: a hit, bit-identical to a
+  // fresh run; an evicted one runs again.
+  auto hit = service.Submit({id.value(), BfsQuery{9}}).get();
+  ASSERT_TRUE(hit.ok());
+  EXPECT_EQ(service.Stats().cache.hits, stats.hits + 1);
+  auto want = oracle.value().Run(BfsQuery{9});
+  ASSERT_TRUE(want.ok());
+  ExpectBitIdentical(hit.value(), want.value(), 9);
+  auto rerun = service.Submit({id.value(), BfsQuery{0}}).get();
+  ASSERT_TRUE(rerun.ok());
+  EXPECT_EQ(service.Stats().cache.hits, stats.hits + 1);
+  EXPECT_EQ(service.Stats().cache.insertions, stats.insertions + 1);
 }
 
 }  // namespace
