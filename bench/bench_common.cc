@@ -253,6 +253,12 @@ double ModelCycles(double model_ms, const simt::CostModel& cost) {
   return model_ms * cost.clock_ghz * 1e6;
 }
 
+std::string CyclesField(double cycles) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.0f", cycles);
+  return buf;
+}
+
 double NowNs() {
   return std::chrono::duration<double, std::nano>(
              std::chrono::steady_clock::now().time_since_epoch())

@@ -103,6 +103,9 @@ double RateVsRaw(EdgeId raw_edges, uint64_t representation_bits);
 /// inverse), the unit bench JSON artifacts record for trend checking.
 double ModelCycles(double model_ms, const simt::CostModel& cost);
 
+/// A modeled cycle count as a JSON extra field, rounded to whole cycles.
+std::string CyclesField(double cycles);
+
 /// Monotonic host clock in ns, for JsonReport wall_ns fields.
 double NowNs();
 

@@ -6,7 +6,10 @@
 //
 // One GcgtSession per dataset; the three engines are the session's backends
 // answering the same CcQuery / BcQuery. A multi-source BC row (BC4) runs on
-// GCGT alone. GCGT rows additionally surface the decode_words counter.
+// GCGT alone. GCGT-split rows run CC and BC at GcgtLevel::kHubSplit on a
+// second session attached to the same encoding. GCGT rows additionally
+// surface the decode_words counter; every row reports straggler_cycles, the
+// cycles its kernels lost to their slowest warps.
 #include <cstdio>
 
 #include "bench/bench_common.h"
@@ -21,8 +24,8 @@ int main(int argc, char** argv) {
   uint64_t budget = bench::DeviceBudgetBytes(datasets);
   std::printf("device memory budget (scaled 12GB): %.1f MB\n\n",
               budget / 1048576.0);
-  std::printf("%-10s %-4s %12s %12s %12s\n", "dataset", "app", "Gunrock",
-              "GPUCSR", "GCGT");
+  std::printf("%-10s %-4s %12s %12s %12s %12s\n", "dataset", "app", "Gunrock",
+              "GPUCSR", "GCGT", "GCGT-split");
 
   // JSON/table order matches the printed columns.
   const Backend backends[] = {Backend::kCsrGunrock, Backend::kCsrBaseline,
@@ -33,44 +36,60 @@ int main(int argc, char** argv) {
     if (!prepared.ok()) continue;
     GcgtSession& session = prepared.value();
     const simt::CostModel cost = session.options().gcgt.cost;
+    GcgtOptions split_options = session.options().gcgt;
+    split_options.level = GcgtLevel::kHubSplit;
+    GcgtSession split = GcgtSession::Attach(session.cgr(), split_options);
     NodeId bc_source = bench::BfsSources(d.graph, 1)[0];
     std::vector<NodeId> bc4_sources = bench::BfsSources(d.graph, 4);
 
+    // One row: `query` on `backend` of `on`, recorded as `row`.
+    auto run_row = [&](GcgtSession& on, const std::string& row,
+                       const Query& query, Backend backend) {
+      const double t0 = bench::NowNs();
+      auto r = on.Run(query, {.backend = backend});
+      const double wall = bench::NowNs() - t0;
+      // OOM rows carry no measurement: zero both metrics and mark the row
+      // so check_trend.py skips it explicitly.
+      std::vector<std::pair<std::string, std::string>> extra = {
+          {"oom", r.ok() ? "0" : "1"}};
+      if (backend == Backend::kCgrSimt && r.ok()) {
+        extra.emplace_back(
+            "decode_words",
+            std::to_string(r.value().metrics().warp.decode_words));
+      }
+      extra.emplace_back(
+          "straggler_cycles",
+          bench::CyclesField(r.ok() ? r.value().metrics().straggler_cycles
+                                    : 0.0));
+      json.Add(row, r.ok() ? wall : 0.0,
+               r.ok() ? bench::ModelCycles(r.value().metrics().model_ms, cost)
+                      : 0.0,
+               extra);
+      std::printf(" %12s",
+                  r.ok() ? Cell(r.value().metrics().model_ms, 12, 3).c_str()
+                         : Cell("OOM", 12).c_str());
+    };
     auto run_app = [&](const char* app, const Query& query, bool gcgt_only) {
       std::printf("%-10s %-4s", d.name.c_str(), app);
+      const std::string prefix = d.name + "/" + app + "/";
       for (Backend backend : backends) {
         if (gcgt_only && backend != Backend::kCgrSimt) {
           std::printf(" %12s", Cell("-", 12).c_str());
           continue;
         }
-        const double t0 = bench::NowNs();
-        auto r = session.Run(query, {.backend = backend});
-        const double wall = bench::NowNs() - t0;
-        // OOM rows carry no measurement: zero both metrics and mark the row
-        // so check_trend.py skips it explicitly.
-        std::vector<std::pair<std::string, std::string>> extra = {
-            {"oom", r.ok() ? "0" : "1"}};
-        if (backend == Backend::kCgrSimt && r.ok()) {
-          extra.emplace_back(
-              "decode_words",
-              std::to_string(r.value().metrics().warp.decode_words));
-        }
-        json.Add(d.name + "/" + app + "/" + BackendName(backend),
-                 r.ok() ? wall : 0.0,
-                 r.ok() ? bench::ModelCycles(r.value().metrics().model_ms,
-                                             cost)
-                        : 0.0,
-                 extra);
-        std::printf(" %12s",
-                    r.ok() ? Cell(r.value().metrics().model_ms, 12, 3).c_str()
-                           : Cell("OOM", 12).c_str());
+        run_row(session, prefix + BackendName(backend), query, backend);
+      }
+      if (gcgt_only) {
+        std::printf(" %12s", Cell("-", 12).c_str());
+      } else {
+        run_row(split, prefix + "GCGT-split", query, Backend::kCgrSimt);
       }
       std::printf("\n");
     };
     run_app("CC", CcQuery{}, /*gcgt_only=*/false);
     run_app("BC", BcQuery{{bc_source}}, /*gcgt_only=*/false);
     // Multi-source BC re-traverses the same reachable set once per source
-    // and direction; GCGT only.
+    // and direction; GCGT only, at kFull.
     run_app("BC4", BcQuery{bc4_sources}, /*gcgt_only=*/true);
     std::printf("\n");
   }

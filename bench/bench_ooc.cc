@@ -151,7 +151,11 @@ int main(int argc, char** argv) {
                {{"oom", ref.ok() ? "0" : "1"},
                 {"partition_faults", "0"},
                 {"partition_spills", "0"},
-                {"resident_bytes_peak", "0"}});
+                {"resident_bytes_peak", "0"},
+                {"straggler_cycles",
+                 bench::CyclesField(
+                     ref.ok() ? ref.value().metrics().straggler_cycles
+                              : 0.0)}});
       std::printf(" %12s",
                   ref.ok() ? Cell(ref.value().metrics().model_ms, 12, 3).c_str()
                            : Cell("OOM", 12).c_str());
@@ -178,6 +182,10 @@ int main(int argc, char** argv) {
           extra.emplace_back("resident_bytes_peak",
                              std::to_string(m.resident_bytes_peak));
         }
+        extra.emplace_back(
+            "straggler_cycles",
+            bench::CyclesField(r.ok() ? r.value().metrics().straggler_cycles
+                                      : 0.0));
         json.Add(d.name + "/" + app + "/" + label, r.ok() ? wall : 0.0,
                  r.ok()
                      ? bench::ModelCycles(r.value().metrics().model_ms, cost)

@@ -461,6 +461,7 @@ namespace {
 void AccumulateMetrics(TraversalMetrics& total, const TraversalMetrics& one) {
   total.model_ms += one.model_ms;
   total.kernels += one.kernels;
+  total.straggler_cycles += one.straggler_cycles;
   total.device_bytes = std::max(total.device_bytes, one.device_bytes);
   total.resident_bytes_peak =
       std::max(total.resident_bytes_peak, one.resident_bytes_peak);

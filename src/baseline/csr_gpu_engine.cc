@@ -268,10 +268,8 @@ Result<GcgtBfsResult> CsrBfs(const Graph& g, NodeId source,
 
   GcgtBfsResult result;
   result.depth = filter.TakeDepth();
-  result.metrics.model_ms = timeline.TotalMs();
-  result.metrics.kernels = timeline.num_kernels();
+  result.metrics = TimelineMetrics(timeline);
   result.metrics.device_bytes = device_bytes;
-  result.metrics.warp = timeline.aggregate();
   return result;
 }
 
@@ -355,10 +353,8 @@ Result<GcgtCcResult> CsrCc(const Graph& g, const CsrEngineOptions& options) {
   GcgtCcResult result;
   result.component = filter.parent();
   result.rounds = rounds;
-  result.metrics.model_ms = timeline.TotalMs();
-  result.metrics.kernels = timeline.num_kernels();
+  result.metrics = TimelineMetrics(timeline);
   result.metrics.device_bytes = device_bytes;
-  result.metrics.warp = timeline.aggregate();
   return result;
 }
 
@@ -419,10 +415,8 @@ Result<GcgtBcResult> CsrBc(const Graph& g, NodeId source,
   }
   result.dependency[source] = 0.0;
 
-  result.metrics.model_ms = timeline.TotalMs();
-  result.metrics.kernels = timeline.num_kernels();
+  result.metrics = TimelineMetrics(timeline);
   result.metrics.device_bytes = device_bytes;
-  result.metrics.warp = timeline.aggregate();
   return result;
 }
 

@@ -89,16 +89,37 @@ struct Lane {
   uint32_t seg_next = 0;
 };
 
-/// Simulates one warp over one frontier chunk. An instance is reusable
-/// across chunks (one lives in each worker thread's scratch); all phase
-/// scratch buffers are members so the steady-state hot path allocates
-/// nothing.
+/// Bytes of one hub-split task descriptor in the kernel-wide task list:
+/// node id, first segment, segment-area bit offset.
+constexpr uint64_t kTaskDescBytes = 16;
+
+/// A hub of the current frontier under GcgtLevel::kHubSplit: a node whose
+/// residual segments outnumber the warp's lanes. `dec` is positioned past
+/// the segment-count header, so a helper opens any segment directly.
+struct Hub {
+  NodeId u = 0;
+  CgrNodeDecoder dec;
+};
+
+/// One helper warp's slice of a hub's segments: [first_seg, first_seg +
+/// num_segs) of hubs[hub].
+struct HelperTask {
+  uint32_t hub = 0;
+  uint32_t first_seg = 0;
+  uint32_t num_segs = 0;
+};
+
+/// Simulates one warp: an owner warp over one frontier chunk (Run), or a
+/// hub-split helper warp over one published segment slice (RunHelper). An
+/// instance is reusable across warps (one lives in each worker thread's
+/// scratch); all phase scratch buffers are members so the steady-state hot
+/// path allocates nothing.
 ///
-/// Two run modes:
-///  - RunSerial: the reference engine. Filter decisions, out-frontier
+/// Two bindings select what the append slots do:
+///  - BindSerial: the reference engine. Filter decisions, out-frontier
 ///    appends and their memory charges happen inline, and a StepTrace may
 ///    record Fig. 4 tables.
-///  - RunEnumerate: the parallel-phase engine. The decode/scheduling walk is
+///  - BindEnumerate: the parallel-phase engine. The decode/scheduling walk is
 ///    identical (it never depends on the filter), but each append slot hands
 ///    its (u, v) pairs to the filter's chunk-scoped claim pass
 ///    (FrontierFilter::ClaimBatch), which applies atomic claims and records
@@ -122,30 +143,41 @@ class WarpSim {
     lanes_.resize(o.lanes);
   }
 
-  WarpStats RunSerial(std::span<const NodeId> chunk, FrontierFilter& filter,
-                      std::vector<NodeId>* out, StepTrace* trace) {
+  void BindSerial(FrontierFilter& filter, std::vector<NodeId>* out,
+                  StepTrace* trace) {
     filter_ = &filter;
     filter_kind_ = filter.kind();
     out_ = out;
     trace_ = trace;
     claim_filter_ = nullptr;
     claim_writer_ = nullptr;
-    return Run(chunk);
   }
 
-  WarpStats RunEnumerate(std::span<const NodeId> chunk, FrontierFilter& filter,
-                         ClaimBatchWriter& writer) {
+  void BindEnumerate(FrontierFilter& filter, ClaimBatchWriter& writer) {
     filter_ = nullptr;
     out_ = nullptr;
     trace_ = nullptr;
     claim_filter_ = &filter;
     claim_writer_ = &writer;
-    return Run(chunk);
   }
 
- private:
-  WarpStats Run(std::span<const NodeId> chunk);
+  /// Owner warp over `chunk`. Under kHubSplit, `task_base` is the task-list
+  /// index of the first descriptor this warp publishes.
+  WarpStats Run(std::span<const NodeId> chunk, uint64_t task_base);
 
+  /// Helper warp running `task`, the task list's entry `task_index`.
+  WarpStats RunHelper(const Hub& hub, const HelperTask& task,
+                      uint64_t task_index);
+
+  /// The last Run's stats at the point it published hub tasks (all zero
+  /// when it published none) and the append slots it had issued by then.
+  /// Under BindSerial the stats are complete, so their Cycles() is when its
+  /// helpers may start; under BindEnumerate the decision-dependent charges
+  /// of those slots are still to be added (see ProcessFrontier).
+  const WarpStats& publish_stats() const { return publish_stats_; }
+  size_t publish_slots() const { return publish_slots_; }
+
+ private:
   bool segmented() const { return g_.options().segment_len_bytes != 0; }
   uint64_t ResidualsRemaining(const Lane& ln) const {
     if (ln.rs_ready) return ln.rs.remaining();
@@ -163,6 +195,7 @@ class WarpSim {
   void StealWindows(const std::vector<int>& work_lanes, bool handoff);
   void WarpCentricStream(int lane_idx);
   void SegmentedResidualPhase();
+  void RunSegmentTasks();
   void SegmentedSerialResiduals();
 
   // Charges one decode instruction slot touching `ranges` of the bit array.
@@ -221,6 +254,12 @@ class WarpSim {
   StepTrace* trace_ = nullptr;
   FrontierFilter* claim_filter_ = nullptr;
   ClaimBatchWriter* claim_writer_ = nullptr;
+  // Hub split (kHubSplit): where this owner warp's descriptors go in the
+  // task list, and its state once they are written.
+  uint64_t task_base_ = 0;
+  size_t append_slots_ = 0;  // AppendStep calls of the current warp
+  WarpStats publish_stats_;
+  size_t publish_slots_ = 0;
 
   // Reusable scratch (capacity persists across chunks; no steady-state
   // allocation).
@@ -251,6 +290,7 @@ class WarpSim {
 void WarpSim::AppendStep(std::span<AppendItem> items) {
   if (items.empty()) return;
   assert(items.size() <= static_cast<size_t>(o_.lanes));
+  ++append_slots_;
   ctx_.AppendStepOp(static_cast<int>(items.size()));
   if (trace_ != nullptr) {
     trace_->BeginStep(TraceOp::kAppend);
@@ -1011,12 +1051,41 @@ void WarpSim::SegmentedResidualPhase() {
   if (trace_ != nullptr) trace_->BeginStep(TraceOp::kHeader);
   ChargeDecode(active, ranges_);
 
+  // Under kHubSplit a node with more segments than lanes keeps its first
+  // `lanes` segments here and publishes the rest, `lanes` per descriptor,
+  // for helper warps (CgrTraversalEngine::ProcessFrontier runs them).
+  const uint32_t lanes = static_cast<uint32_t>(o_.lanes);
+  const bool split = o_.level >= GcgtLevel::kHubSplit;
+  uint64_t published = 0;
+  int hub_lanes = 0;
   tasks_.clear();
   for (int l = 0; l < o_.lanes; ++l) {
     const Lane& ln = lanes_[l];
     if (!ln.valid) continue;
-    for (uint32_t s = 0; s < ln.seg_count; ++s) tasks_.push_back({l, s});
+    uint32_t kept = ln.seg_count;
+    if (split && kept > lanes) {
+      published += (kept - 1) / lanes;  // = ceil((kept - lanes) / lanes)
+      ++hub_lanes;
+      kept = lanes;
+    }
+    for (uint32_t s = 0; s < kept; ++s) tasks_.push_back({l, s});
   }
+  if (published > 0) {
+    // One lane reserves the descriptors at the task-list tail; the hub
+    // lanes write them.
+    ctx_.Step(hub_lanes);
+    ctx_.Atomic(1);
+    ctx_.MemAccessRange(kTaskBase + kTaskDescBytes * task_base_,
+                        kTaskDescBytes * published);
+    publish_stats_ = ctx_.stats();
+    publish_slots_ = append_slots_;
+  }
+  RunSegmentTasks();
+}
+
+// Deals tasks_ round-robin over the lanes and runs them: the segment
+// executor shared by owner and helper warps.
+void WarpSim::RunSegmentTasks() {
   if (tasks_.empty()) return;
   ctx_.SharedOp();  // task distribution via scan
 
@@ -1159,9 +1228,36 @@ void WarpSim::SegmentedSerialResiduals() {
   }
 }
 
-WarpStats WarpSim::Run(std::span<const NodeId> chunk) {
+WarpStats WarpSim::RunHelper(const Hub& hub, const HelperTask& task,
+                             uint64_t task_index) {
   label_filter_.NextWarp();
   offset_filter_.NextWarp();
+  // One lane grabs the task (task-list head atomic), reads its descriptor
+  // and broadcasts it to the warp.
+  ctx_.Step(1);
+  ctx_.Atomic(1);
+  ctx_.MemAccessRange(kTaskBase + kTaskDescBytes * task_index, kTaskDescBytes);
+  ctx_.SharedOp();
+  Lane& ln = lanes_[0];
+  ln.valid = true;
+  ln.u = hub.u;
+  ln.dec = hub.dec;
+  ln.res_idx = 0;
+  tasks_.clear();
+  for (uint32_t s = 0; s < task.num_segs; ++s) {
+    tasks_.push_back({0, task.first_seg + s});
+  }
+  RunSegmentTasks();
+  return ctx_.TakeStats();
+}
+
+WarpStats WarpSim::Run(std::span<const NodeId> chunk, uint64_t task_base) {
+  label_filter_.NextWarp();
+  offset_filter_.NextWarp();
+  task_base_ = task_base;
+  append_slots_ = 0;
+  publish_stats_ = WarpStats{};
+  publish_slots_ = 0;
   if (g_.options().codec != CodecId::kCgr) {
     // Byte codecs have no interval/residual split; the scheduling levels
     // collapse into one table-driven block walk.
@@ -1204,12 +1300,27 @@ struct WorkerState {
   ClaimArena arena;
 };
 
-/// Result of enumerating + claiming one warp chunk, before the resolve and
+/// One simulated warp of a round, in submission order: each frontier
+/// chunk's owner warp, followed under kHubSplit by one helper warp per
+/// published slice of its hubs' segments, in (node, segment) order.
+struct WarpUnit {
+  uint32_t off = 0;   // owner: first frontier index of its chunk
+  uint32_t size = 0;  // owner: chunk size; 0 marks a helper
+  /// Owner: task-list index of its first published descriptor. Helper: the
+  /// task it runs.
+  uint32_t task = 0;
+};
+
+/// Result of enumerating + claiming one warp unit, before the resolve and
 /// merge phases.
 struct ChunkRecord {
   simt::WarpStats stats;    // decision-independent charges from the warp walk
   uint32_t worker = 0;      // which WorkerState owns the arena slices below
-  uint32_t chunk_size = 0;  // frontier nodes in this warp
+  uint32_t chunk_size = 0;  // frontier nodes the warp loaded (0: helper)
+  // Owner: its stats when it published hub tasks, and the append slots
+  // issued by then (WarpSim::publish_stats / publish_slots).
+  simt::WarpStats publish_stats;
+  size_t publish_slots = 0;
   size_t cand_begin = 0;
   size_t batch_begin = 0;
   size_t batch_end = 0;
@@ -1233,6 +1344,9 @@ struct EngineScratch {
 
   ThreadPool* pool;  // process-shared, never null
   std::vector<std::unique_ptr<WorkerState>> workers;
+  std::vector<WarpUnit> units;
+  std::vector<Hub> hubs;
+  std::vector<HelperTask> tasks;
   std::vector<ChunkRecord> records;
   WarpSim serial_sim;
   // Out-of-core partition pager (disabled unless the graph is partitioned
@@ -1280,7 +1394,6 @@ void CgrTraversalEngine::ProcessFrontier(std::span<const NodeId> frontier,
                                          std::vector<simt::WarpStats>* warp_stats,
                                          StepTrace* trace) const {
   if (frontier.empty()) return;
-  const size_t lanes = static_cast<size_t>(options_.lanes);
   internal::EngineScratch& scratch = Scratch();
 
   // Pager prologue (serial, frontier order): fault in every partition this
@@ -1304,45 +1417,99 @@ void CgrTraversalEngine::ProcessFrontier(std::span<const NodeId> frontier,
     warp_stats->push_back(page);
   }
 
-  const size_t num_chunks = (frontier.size() + lanes - 1) / lanes;
+  // Warp units. Under kHubSplit (segmented CGR only) every frontier node
+  // with more residual segments than lanes is a hub: its owner warp keeps
+  // `lanes` segments and each further `lanes` become one helper warp. A
+  // node's segments 0..n-2 are segment_len_bytes long, so only a node
+  // encoded in more than lanes * segment_len_bytes can be a hub; the host
+  // decodes the segment count of those alone.
+  const uint32_t warp = static_cast<uint32_t>(options_.lanes);
+  const uint64_t seg_len = graph_.options().segment_len_bytes;
+  const bool split = options_.level >= GcgtLevel::kHubSplit &&
+                     graph_.options().codec == CodecId::kCgr && seg_len != 0;
+  const uint64_t hub_min_bits = 8 * seg_len * warp;
+  scratch.units.clear();
+  scratch.hubs.clear();
+  scratch.tasks.clear();
+  for (uint32_t off = 0; off < frontier.size(); off += warp) {
+    const uint32_t n =
+        std::min(warp, static_cast<uint32_t>(frontier.size()) - off);
+    scratch.units.push_back(
+        {off, n, static_cast<uint32_t>(scratch.tasks.size())});
+    if (!split) continue;
+    for (NodeId u : frontier.subspan(off, n)) {
+      if (graph_.bit_start(u + 1) - graph_.bit_start(u) <= hub_min_bits) {
+        continue;
+      }
+      CgrNodeDecoder dec(graph_, u);
+      const uint32_t intervals = dec.ReadIntervalCount();
+      for (uint32_t i = 0; i < intervals; ++i) dec.ReadNextInterval();
+      const uint32_t segs = dec.ReadSegmentCount();
+      if (segs <= warp) continue;
+      const uint32_t hub = static_cast<uint32_t>(scratch.hubs.size());
+      scratch.hubs.push_back({u, dec});
+      for (uint32_t first = warp; first < segs; first += warp) {
+        scratch.units.push_back(
+            {0, 0, static_cast<uint32_t>(scratch.tasks.size())});
+        scratch.tasks.push_back({hub, first, std::min(warp, segs - first)});
+      }
+    }
+  }
+  const size_t num_units = scratch.units.size();
+  // Runs one unit on `sim`, which the caller has bound.
+  auto run_unit = [&](WarpSim& sim, const internal::WarpUnit& unit) {
+    if (unit.size == 0) {
+      const HelperTask& t = scratch.tasks[unit.task];
+      return sim.RunHelper(scratch.hubs[t.hub], t, unit.task);
+    }
+    return sim.Run(frontier.subspan(unit.off, unit.size), unit.task);
+  };
 
-  // Serial reference path: one chunk at a time, filter decisions inline.
+  // Serial reference path: one unit at a time, filter decisions inline.
   // Taken for single-threaded configs, StepTrace recording (trace steps of
-  // concurrent warps would interleave), and single-chunk frontiers (nothing
-  // to parallelize).
+  // concurrent warps would interleave), and single-warp rounds (nothing to
+  // parallelize). A helper starts at its owner's publish point; its owner
+  // is the last owner run before it.
   const bool serial = options_.num_threads == 1 || trace != nullptr ||
-                      num_chunks == 1 || scratch.pool->num_threads() == 1;
+                      num_units == 1 || scratch.pool->num_threads() == 1;
   if (serial) {
-    for (size_t off = 0; off < frontier.size(); off += lanes) {
-      size_t n = std::min<size_t>(lanes, frontier.size() - off);
-      warp_stats->push_back(scratch.serial_sim.RunSerial(
-          frontier.subspan(off, n), filter, out_frontier, trace));
+    WarpSim& sim = scratch.serial_sim;
+    sim.BindSerial(filter, out_frontier, trace);
+    for (const internal::WarpUnit& unit : scratch.units) {
+      warp_stats->push_back(run_unit(sim, unit));
+      if (unit.size == 0) {
+        warp_stats->back().start_cycles =
+            sim.publish_stats().Cycles(options_.cost);
+      }
     }
     return;
   }
 
-  // Phase 1 (parallel): every worker enumerates its chunks' (u, v) pairs,
+  // Phase 1 (parallel): every worker enumerates its units' (u, v) pairs,
   // charges all decision-independent costs, and runs the filter's claim pass
   // per append slot (atomic claims + candidate recording — see
   // FrontierFilter::ClaimBatch). The warp walk never reads filter state, so
-  // this is exact regardless of scheduling.
+  // this is exact regardless of scheduling. A unit's claim ranks carry its
+  // submission index, so helpers rank between their owner and the next
+  // chunk, as on the serial path.
   filter.PrepareClaims();
-  scratch.records.assign(num_chunks, internal::ChunkRecord{});
+  scratch.records.assign(num_units, internal::ChunkRecord{});
   for (auto& w : scratch.workers) w->arena.Clear();
   scratch.pool->ParallelFor(
-      num_chunks, 1, [&](size_t worker, size_t begin, size_t end) {
+      num_units, 1, [&](size_t worker, size_t begin, size_t end) {
         internal::WorkerState& ws = *scratch.workers[worker];
-        for (size_t ci = begin; ci < end; ++ci) {
-          const size_t off = ci * lanes;
-          const size_t n = std::min<size_t>(lanes, frontier.size() - off);
-          internal::ChunkRecord& rec = scratch.records[ci];
+        for (size_t ui = begin; ui < end; ++ui) {
+          const internal::WarpUnit& unit = scratch.units[ui];
+          internal::ChunkRecord& rec = scratch.records[ui];
           rec.worker = static_cast<uint32_t>(worker);
-          rec.chunk_size = static_cast<uint32_t>(n);
+          rec.chunk_size = unit.size;
           rec.cand_begin = ws.arena.cands.size();
           rec.batch_begin = ws.arena.batch_ends.size();
-          ClaimBatchWriter writer(ws.arena, static_cast<uint64_t>(ci) << 32);
-          rec.stats =
-              ws.sim.RunEnumerate(frontier.subspan(off, n), filter, writer);
+          ClaimBatchWriter writer(ws.arena, static_cast<uint64_t>(ui) << 32);
+          ws.sim.BindEnumerate(filter, writer);
+          rec.stats = run_unit(ws.sim, unit);
+          rec.publish_stats = ws.sim.publish_stats();
+          rec.publish_slots = ws.sim.publish_slots();
           rec.batch_end = ws.arena.batch_ends.size();
         }
       });
@@ -1354,7 +1521,7 @@ void CgrTraversalEngine::ProcessFrontier(std::span<const NodeId> frontier,
   // and compact the accepted targets here, race-free.
   for (auto& w : scratch.workers) w->arena.PrepareResolve();
   scratch.pool->ParallelFor(
-      num_chunks, 1, [&](size_t /*worker*/, size_t begin, size_t end) {
+      num_units, 1, [&](size_t /*worker*/, size_t begin, size_t end) {
         for (size_t ci = begin; ci < end; ++ci) {
           internal::ChunkRecord& rec = scratch.records[ci];
           ChunkClaims claims(scratch.workers[rec.worker]->arena, rec.cand_begin,
@@ -1363,28 +1530,40 @@ void CgrTraversalEngine::ProcessFrontier(std::span<const NodeId> frontier,
         }
       });
 
-  // Phase 3 (serial prefix-sum merge, chunk order): concatenate the
-  // per-chunk claim buffers into the global out-frontier and charge the
+  // Phase 3 (serial prefix-sum merge, unit order): concatenate the
+  // per-unit claim buffers into the global out-frontier and charge the
   // decision-dependent costs. Only two charge kinds depend on decisions:
   //  - filter atomics (hooking CAS, sigma/delta atomicAdd), reported by
   //    MergeBatch per append slot;
   //  - the queue-append line transactions, reconstructed from each slot's
   //    queue tail + accepted count (simt::QueueAppendCharges; label-write
   //    lines are always a subset of the visited-check gather already charged
-  //    in phase 1). Order-dependent filter effects (running claim minima,
-  //    float accumulation) also run here, in serial order.
+  //    in phase 1; a helper loaded no frontier prefix, so its chunk_size
+  //    is 0). Order-dependent filter effects (running claim minima, float
+  //    accumulation) also run here, in serial order.
+  // A helper starts at its owner's publish point: the owner's stats then,
+  // completed by the dependent charges of the slots it had issued by then,
+  // which is what the serial path reads.
   const int line_bytes = options_.cost.cache_line_bytes;
-  for (size_t ci = 0; ci < num_chunks; ++ci) {
-    internal::ChunkRecord& rec = scratch.records[ci];
+  double publish_cycles = 0;
+  for (internal::ChunkRecord& rec : scratch.records) {
+    if (rec.chunk_size == 0) rec.stats.start_cycles = publish_cycles;
     ChunkClaims claims(scratch.workers[rec.worker]->arena, rec.cand_begin,
                        rec.batch_begin, rec.batch_end);
     simt::QueueAppendCharges charges(kQueueBase, 4, line_bytes, rec.chunk_size);
     for (size_t b = 0; b < claims.num_batches(); ++b) {
       const size_t tail = out_frontier->size();
-      if (int extra = filter.MergeBatch(claims, b, out_frontier); extra > 0) {
-        rec.stats.atomics += static_cast<uint64_t>(extra);
+      const int extra = filter.MergeBatch(claims, b, out_frontier);
+      const uint64_t txns = charges.Charge(tail, out_frontier->size() - tail);
+      rec.stats.atomics += static_cast<uint64_t>(std::max(extra, 0));
+      rec.stats.mem_txns += txns;
+      if (b < rec.publish_slots) {
+        rec.publish_stats.atomics += static_cast<uint64_t>(std::max(extra, 0));
+        rec.publish_stats.mem_txns += txns;
       }
-      rec.stats.mem_txns += charges.Charge(tail, out_frontier->size() - tail);
+    }
+    if (rec.chunk_size != 0) {
+      publish_cycles = rec.publish_stats.Cycles(options_.cost);
     }
     warp_stats->push_back(rec.stats);
   }

@@ -49,8 +49,23 @@ struct TraversalMetrics {
   /// High-water mark of the out-of-core pager's resident set (0 when the
   /// pager is disabled).
   uint64_t resident_bytes_peak = 0;
+  /// Cycles the kernels lost to their slowest warps: the sum over kernels
+  /// of makespan minus summed warp cycles / parallel warp slots
+  /// (simt::KernelTimeline::straggler_cycles).
+  double straggler_cycles = 0.0;
   simt::WarpStats warp;        ///< aggregate warp statistics
 };
+
+/// The timeline-derived metrics (model_ms, kernels, straggler_cycles, warp)
+/// of everything recorded on `timeline`; the footprint fields stay 0.
+inline TraversalMetrics TimelineMetrics(const simt::KernelTimeline& timeline) {
+  TraversalMetrics m;
+  m.model_ms = timeline.TotalMs();
+  m.kernels = timeline.num_kernels();
+  m.straggler_cycles = timeline.straggler_cycles();
+  m.warp = timeline.aggregate();
+  return m;
+}
 
 class CgrTraversalEngine {
  public:

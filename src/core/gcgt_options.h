@@ -6,14 +6,21 @@
 
 namespace gcgt {
 
-/// Cumulative optimization levels, exactly as paper Fig. 9 applies them.
-/// Each level includes everything below it.
+/// Cumulative optimization levels: the first five exactly as paper Fig. 9
+/// applies them, then this implementation's hub split. Each level includes
+/// everything below it.
 enum class GcgtLevel : int {
   kIntuitive = 0,     ///< Alg. 1: one lane decodes one list serially
   kTwoPhase = 1,      ///< + Alg. 2: separate interval / residual phases
   kTaskStealing = 2,  ///< + Alg. 3: idle lanes steal residual appends
   kWarpCentric = 3,   ///< + Alg. 4: speculative parallel VLC decoding
   kFull = 4,          ///< + residual segmentation scheduling (= GCGT)
+  /// + hub split: a segmented-layout node with more residual segments than
+  /// the warp has lanes keeps its first `lanes` segments on its own warp and
+  /// publishes the rest to a kernel-wide task list; every further `lanes`
+  /// segments run on one helper warp of the same kernel. Byte codecs and
+  /// the unsegmented layout behave exactly as under kFull.
+  kHubSplit = 5,
 };
 
 inline const char* GcgtLevelName(GcgtLevel level) {
@@ -23,12 +30,13 @@ inline const char* GcgtLevelName(GcgtLevel level) {
     case GcgtLevel::kTaskStealing: return "TaskStealing";
     case GcgtLevel::kWarpCentric: return "Warp-centric";
     case GcgtLevel::kFull: return "ResidualSegmentation (GCGT)";
+    case GcgtLevel::kHubSplit: return "HubSplit";
   }
   return "?";
 }
 
 struct GcgtOptions {
-  GcgtLevel level = GcgtLevel::kFull;
+  GcgtLevel level = GcgtLevel::kHubSplit;
   /// Lanes per warp; 32 in production, 8/16 in the paper's worked examples.
   int lanes = simt::kWarpSize;
   /// A lane's residual list is handed to warp-centric decoding when at least

@@ -14,6 +14,7 @@ inline constexpr uint64_t kLabelBase = 0x3ull << 40;    ///< BFS labels / CC par
 inline constexpr uint64_t kQueueBase = 0x4ull << 40;    ///< frontier queues
 inline constexpr uint64_t kCsrColBase = 0x5ull << 40;   ///< CSR column indices
 inline constexpr uint64_t kAuxBase = 0x6ull << 40;      ///< sigma/delta/etc.
+inline constexpr uint64_t kTaskBase = 0x7ull << 40;     ///< hub-split task list
 
 }  // namespace gcgt
 

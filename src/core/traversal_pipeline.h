@@ -107,12 +107,9 @@ class TraversalPipeline {
 
   /// Aggregated metrics of everything run through this pipeline so far.
   TraversalMetrics Metrics() const {
-    TraversalMetrics m;
-    m.model_ms = timeline_.TotalMs();
-    m.kernels = timeline_.num_kernels();
+    TraversalMetrics m = TimelineMetrics(timeline_);
     m.device_bytes = device_bytes_;
     m.resident_bytes_peak = engine_->PagerResidentPeak();
-    m.warp = timeline_.aggregate();
     return m;
   }
 

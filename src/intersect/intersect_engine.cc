@@ -253,10 +253,8 @@ Result<GcgtTriangleResult> IntersectEngine::TriangleCount(
     warps.push_back(FinishWarp(&ch));
   }
   timeline_.AddKernel(warps);
-  res.metrics.model_ms = timeline_.TotalMs();
-  res.metrics.kernels = timeline_.num_kernels();
+  res.metrics = TimelineMetrics(timeline_);
   res.metrics.device_bytes = device_bytes;
-  res.metrics.warp = timeline_.aggregate();
   return res;
 }
 
@@ -272,10 +270,8 @@ Result<GcgtCommonNeighborResult> IntersectEngine::CommonNeighbors(
   res.count = res.common.size();
   const std::vector<simt::WarpStats> warps{FinishWarp(&ch)};
   timeline_.AddKernel(warps);
-  res.metrics.model_ms = timeline_.TotalMs();
-  res.metrics.kernels = timeline_.num_kernels();
+  res.metrics = TimelineMetrics(timeline_);
   res.metrics.device_bytes = device_bytes;
-  res.metrics.warp = timeline_.aggregate();
   return res;
 }
 
@@ -293,10 +289,8 @@ Result<GcgtJaccardResult> IntersectEngine::Jaccard(NodeId u, NodeId v,
   res.jaccard = JaccardScore(res.common, res.degree_u, res.degree_v);
   const std::vector<simt::WarpStats> warps{FinishWarp(&ch)};
   timeline_.AddKernel(warps);
-  res.metrics.model_ms = timeline_.TotalMs();
-  res.metrics.kernels = timeline_.num_kernels();
+  res.metrics = TimelineMetrics(timeline_);
   res.metrics.device_bytes = device_bytes;
-  res.metrics.warp = timeline_.aggregate();
   return res;
 }
 
@@ -377,9 +371,8 @@ Result<GcgtSimilarityTopKResult> IntersectEngine::SimilarityTopK(
     timeline_.AddKernel(warps);
   }
   SortTopK(&res.items, k);
-  res.metrics.model_ms = timeline_.TotalMs();
-  res.metrics.kernels = timeline_.num_kernels();
-  res.metrics.warp = timeline_.aggregate();
+  res.metrics = TimelineMetrics(timeline_);
+  res.metrics.device_bytes = device_bytes;
   return res;
 }
 
@@ -457,10 +450,8 @@ Result<GcgtKCoreResult> IntersectEngine::KCore(uint32_t k,
   res.in_core = std::move(alive);
   res.core_size = static_cast<NodeId>(
       std::count(res.in_core.begin(), res.in_core.end(), uint8_t{1}));
-  res.metrics.model_ms = timeline_.TotalMs();
-  res.metrics.kernels = timeline_.num_kernels();
+  res.metrics = TimelineMetrics(timeline_);
   res.metrics.device_bytes = device_bytes;
-  res.metrics.warp = timeline_.aggregate();
   return res;
 }
 

@@ -12,6 +12,11 @@ double Makespan(const std::vector<double>& warp_cycles, int slots) {
     for (double c : warp_cycles) sum += c;
     return sum;
   }
+  // Every warp fits a slot of its own and starts at 0, so the greedy
+  // schedule below would return the largest duration; skip its heap.
+  if (warp_cycles.size() <= static_cast<size_t>(slots)) {
+    return *std::max_element(warp_cycles.begin(), warp_cycles.end());
+  }
   // Greedy list scheduling in submission order (hardware does not sort work),
   // tracked with a min-heap of slot finish times.
   std::priority_queue<double, std::vector<double>, std::greater<>> finish;
@@ -30,13 +35,17 @@ double Makespan(const std::vector<double>& warp_cycles, int slots) {
 }
 
 void KernelTimeline::AddKernel(const std::vector<WarpStats>& warps) {
-  std::vector<double> cycles;
-  cycles.reserve(warps.size());
+  cycles_.clear();
+  double sum = 0;
   for (const WarpStats& w : warps) {
-    cycles.push_back(w.Cycles(model_));
+    cycles_.push_back(w.start_cycles + w.Cycles(model_));
+    sum += cycles_.back();
     aggregate_ += w;
   }
-  total_cycles_ += model_.kernel_launch_cycles + Makespan(cycles, model_.parallel_warp_slots());
+  const int slots = model_.parallel_warp_slots();
+  const double makespan = Makespan(cycles_, slots);
+  total_cycles_ += model_.kernel_launch_cycles + makespan;
+  straggler_cycles_ += makespan - sum / std::max(slots, 1);
   ++num_kernels_;
 }
 

@@ -22,27 +22,36 @@ class KernelTimeline {
  public:
   explicit KernelTimeline(const CostModel& model) : model_(model) {}
 
-  /// Records one kernel launch with the given per-warp stats.
+  /// Records one kernel launch with the given per-warp stats. A warp occupies
+  /// its slot for start_cycles + Cycles(): a warp that must wait for another
+  /// warp's work holds its slot while it waits, which never undercharges.
   void AddKernel(const std::vector<WarpStats>& warps);
 
   /// Forgets everything recorded so far (the cost model stays). Lets one
   /// timeline be reused across queries without reconstruction.
   void Reset() {
     total_cycles_ = 0;
+    straggler_cycles_ = 0;
     num_kernels_ = 0;
     aggregate_ = WarpStats{};
   }
 
   double total_cycles() const { return total_cycles_; }
   double TotalMs() const { return model_.CyclesToMs(total_cycles_); }
+  /// Sum over kernels of (makespan - balanced bound), the balanced bound
+  /// being the kernel's summed warp cycles spread evenly over the parallel
+  /// warp slots: the cycles lost to a few long warps.
+  double straggler_cycles() const { return straggler_cycles_; }
   int num_kernels() const { return num_kernels_; }
   const WarpStats& aggregate() const { return aggregate_; }
 
  private:
   CostModel model_;
   double total_cycles_ = 0;
+  double straggler_cycles_ = 0;
   int num_kernels_ = 0;
   WarpStats aggregate_;
+  std::vector<double> cycles_;  // per-warp scratch, reused across kernels
 };
 
 }  // namespace gcgt::simt

@@ -366,6 +366,12 @@ struct WarpStats {
   // masquerades as decode or memory traffic and the decode-free savings
   // stay visible in the model.
   uint64_t intersect_txns = 0;    ///< warp-wide set-intersection operations
+  /// Modeled cycles from kernel start before this warp can issue its first
+  /// instruction: a hub-split helper warp waits for its owner warp to
+  /// publish the task it runs (GcgtLevel::kHubSplit). 0 for every other
+  /// warp. A schedule offset, not a count: Cycles() excludes it and += does
+  /// not sum it.
+  double start_cycles = 0;
 
   double Cycles(const CostModel& m) const {
     // decode/append slots are priced at their own rates.

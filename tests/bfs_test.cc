@@ -47,6 +47,9 @@ Graph MakeTestGraph(const std::string& name) {
   if (name == "rmat") return GenerateRmat(2048, 20000, 25);
   if (name == "path") return MakePath(200);
   if (name == "star") return MakeStar(500);
+  // Encoded without intervals (see MatchesSerialBfs): the center's leaves
+  // fill far more residual segments than a warp has lanes.
+  if (name == "star_residuals") return MakeStar(3000);
   return GenerateErdosRenyi(1000, 8000, 26);
 }
 
@@ -65,6 +68,9 @@ TEST_P(GcgtBfsCorrectness, MatchesSerialBfs) {
   Graph g = MakeTestGraph(GetParam().graph_name);
   CgrOptions copt;
   copt.segment_len_bytes = GetParam().segment_len_bytes;
+  if (std::string(GetParam().graph_name) == "star_residuals") {
+    copt.min_interval_len = CgrOptions::kNoIntervals;
+  }
   auto cgr = CgrGraph::Encode(g, copt);
   ASSERT_TRUE(cgr.ok()) << cgr.status().ToString();
 
@@ -117,7 +123,13 @@ INSTANTIATE_TEST_SUITE_P(
         // Degenerate shapes.
         BfsParam{"path", GcgtLevel::kFull, 32},
         BfsParam{"star", GcgtLevel::kFull, 32},
-        BfsParam{"star", GcgtLevel::kIntuitive, 0}),
+        BfsParam{"star", GcgtLevel::kIntuitive, 0},
+        // Hub split: segmented layouts, where hubs spread over helper warps.
+        BfsParam{"twitter", GcgtLevel::kHubSplit, 8},
+        BfsParam{"twitter", GcgtLevel::kHubSplit, 32},
+        BfsParam{"star", GcgtLevel::kHubSplit, 32},
+        BfsParam{"star_residuals", GcgtLevel::kHubSplit, 8},
+        BfsParam{"star_residuals", GcgtLevel::kHubSplit, 32}),
     BfsParamName);
 
 TEST(GcgtBfs, UnreachableNodesStayUnvisited) {

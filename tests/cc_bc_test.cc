@@ -29,8 +29,6 @@ void ExpectSamePartition(const std::vector<NodeId>& a,
   }
 }
 
-class GcgtCcTest : public ::testing::TestWithParam<const char*> {};
-
 Graph MakeCcGraph(const std::string& name) {
   if (name == "two_cliques") {
     EdgeList edges;
@@ -48,26 +46,54 @@ Graph MakeCcGraph(const std::string& name) {
     p.seed = 43;
     return GenerateWebGraph(p);
   }
+  if (name == "star") return MakeStar(3000);
   TwitterGraphParams p;
   p.num_nodes = 1500;
   p.seed = 44;
   return GenerateTwitterGraph(p);
 }
 
+// The star is encoded without intervals in 8-byte segments, so its center
+// has far more residual segments than a warp has lanes (a hub under
+// GcgtLevel::kHubSplit).
+CgrOptions EncodeOptionsFor(const std::string& name) {
+  CgrOptions options;
+  if (name == "star") {
+    options.min_interval_len = CgrOptions::kNoIntervals;
+    options.segment_len_bytes = 8;
+  }
+  return options;
+}
+
+struct GraphLevel {
+  const char* graph;
+  GcgtLevel level;
+};
+
+class GcgtCcTest : public ::testing::TestWithParam<GraphLevel> {};
+
 TEST_P(GcgtCcTest, MatchesUnionFind) {
-  Graph g = MakeCcGraph(GetParam());
-  auto cgr = CgrGraph::Encode(g, CgrOptions{});
+  Graph g = MakeCcGraph(GetParam().graph);
+  auto cgr = CgrGraph::Encode(g, EncodeOptionsFor(GetParam().graph));
   ASSERT_TRUE(cgr.ok());
-  auto result = GcgtCc(cgr.value(), GcgtOptions{});
+  GcgtOptions opt;
+  opt.level = GetParam().level;
+  auto result = GcgtCc(cgr.value(), opt);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   ExpectSamePartition(result.value().component, SerialCc(g));
   EXPECT_GT(result.value().rounds, 0);
   EXPECT_GT(result.value().metrics.model_ms, 0.0);
 }
 
-INSTANTIATE_TEST_SUITE_P(Graphs, GcgtCcTest,
-                         ::testing::Values("two_cliques", "er_sparse",
-                                           "er_dense", "web", "twitter"));
+INSTANTIATE_TEST_SUITE_P(
+    Graphs, GcgtCcTest,
+    ::testing::Values(GraphLevel{"two_cliques", GcgtLevel::kFull},
+                      GraphLevel{"er_sparse", GcgtLevel::kFull},
+                      GraphLevel{"er_dense", GcgtLevel::kFull},
+                      GraphLevel{"web", GcgtLevel::kFull},
+                      GraphLevel{"twitter", GcgtLevel::kFull},
+                      GraphLevel{"twitter", GcgtLevel::kHubSplit},
+                      GraphLevel{"star", GcgtLevel::kHubSplit}));
 
 TEST(GcgtCcEdgeCases, SingletonNodesAreOwnComponents) {
   Graph g = Graph::FromEdges(6, {{0, 1}});
@@ -90,16 +116,11 @@ TEST(GcgtCcEdgeCases, DirectedEdgesGiveWeakComponents) {
   EXPECT_EQ(result.value().component[0], result.value().component[2]);
 }
 
-struct BcParam {
-  const char* graph;
-  GcgtLevel level;
-};
-
-class GcgtBcTest : public ::testing::TestWithParam<BcParam> {};
+class GcgtBcTest : public ::testing::TestWithParam<GraphLevel> {};
 
 TEST_P(GcgtBcTest, MatchesSerialBrandes) {
   Graph g = MakeCcGraph(GetParam().graph);
-  auto cgr = CgrGraph::Encode(g, CgrOptions{});
+  auto cgr = CgrGraph::Encode(g, EncodeOptionsFor(GetParam().graph));
   ASSERT_TRUE(cgr.ok());
   GcgtOptions opt;
   opt.level = GetParam().level;
@@ -121,11 +142,13 @@ TEST_P(GcgtBcTest, MatchesSerialBrandes) {
 
 INSTANTIATE_TEST_SUITE_P(
     Graphs, GcgtBcTest,
-    ::testing::Values(BcParam{"two_cliques", GcgtLevel::kFull},
-                      BcParam{"er_sparse", GcgtLevel::kFull},
-                      BcParam{"web", GcgtLevel::kFull},
-                      BcParam{"twitter", GcgtLevel::kFull},
-                      BcParam{"er_dense", GcgtLevel::kTaskStealing}));
+    ::testing::Values(GraphLevel{"two_cliques", GcgtLevel::kFull},
+                      GraphLevel{"er_sparse", GcgtLevel::kFull},
+                      GraphLevel{"web", GcgtLevel::kFull},
+                      GraphLevel{"twitter", GcgtLevel::kFull},
+                      GraphLevel{"er_dense", GcgtLevel::kTaskStealing},
+                      GraphLevel{"twitter", GcgtLevel::kHubSplit},
+                      GraphLevel{"star", GcgtLevel::kHubSplit}));
 
 TEST(GcgtBc, PathGraphDependencies) {
   // On a directed path 0->1->2->3, delta(v) = #descendants on shortest paths.

@@ -1,10 +1,13 @@
 // Determinism tests for the parallel traversal engine: the multi-threaded
 // ProcessFrontier must produce bit-identical frontiers, labels and per-warp
 // stats to the serial reference (num_threads == 1) across every GcgtLevel
-// and both CGR layouts — plus ThreadPool reentrancy-guard stress tests.
+// and both CGR layouts — plus the hub split's agreement with kFull and
+// ThreadPool reentrancy-guard stress tests.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <numeric>
 #include <vector>
 
@@ -47,7 +50,7 @@ GcgtOptions OptionsFor(GcgtLevel level, int num_threads) {
 
 constexpr GcgtLevel kAllLevels[] = {
     GcgtLevel::kIntuitive, GcgtLevel::kTwoPhase, GcgtLevel::kTaskStealing,
-    GcgtLevel::kWarpCentric, GcgtLevel::kFull};
+    GcgtLevel::kWarpCentric, GcgtLevel::kFull, GcgtLevel::kHubSplit};
 constexpr uint32_t kLayouts[] = {0, 32};  // unsegmented + segmented residuals
 
 // Drives level-synchronous BFS through ProcessFrontier on both engines and
@@ -150,17 +153,160 @@ TEST(ParallelEngine, BcDriverBitIdentical) {
 TEST(ParallelEngine, ThreadCountSweepBitIdentical) {
   Graph g = TestGraph();
   CgrGraph cgr = EncodeLayout(g, 32);
-  auto serial = GcgtBfs(cgr, 0, OptionsFor(GcgtLevel::kFull, 1));
-  ASSERT_TRUE(serial.ok());
-  for (int threads : {2, 3, 8}) {
-    auto parallel = GcgtBfs(cgr, 0, OptionsFor(GcgtLevel::kFull, threads));
-    ASSERT_TRUE(parallel.ok());
-    EXPECT_EQ(serial.value().depth, parallel.value().depth) << threads;
-    EXPECT_EQ(serial.value().metrics.warp, parallel.value().metrics.warp)
+  for (GcgtLevel level : {GcgtLevel::kFull, GcgtLevel::kHubSplit}) {
+    auto serial = GcgtBfs(cgr, 0, OptionsFor(level, 1));
+    ASSERT_TRUE(serial.ok());
+    for (int threads : {2, 3, 8}) {
+      auto parallel = GcgtBfs(cgr, 0, OptionsFor(level, threads));
+      ASSERT_TRUE(parallel.ok());
+      EXPECT_EQ(serial.value().depth, parallel.value().depth) << threads;
+      EXPECT_EQ(serial.value().metrics.warp, parallel.value().metrics.warp)
+          << threads;
+      EXPECT_EQ(serial.value().metrics.model_ms,
+                parallel.value().metrics.model_ms)
+          << threads;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Hub split (GcgtLevel::kHubSplit): a node with more residual segments than
+// lanes spreads them over helper warps. Labels must equal kFull's, and the
+// parallel engine must still reproduce the serial one exactly.
+// ---------------------------------------------------------------------------
+
+struct HubCase {
+  Graph graph;
+  CgrGraph cgr;
+  NodeId hub = 0;
+};
+
+// A star whose center lists its leaves as residuals (no intervals) in 8-byte
+// segments: far more segments than the 8 test lanes.
+HubCase StarCase() {
+  Graph g = MakeStar(3000);
+  CgrOptions options;
+  options.min_interval_len = CgrOptions::kNoIntervals;
+  options.segment_len_bytes = 8;
+  auto cgr = CgrGraph::Encode(g, options);
+  EXPECT_TRUE(cgr.ok()) << cgr.status().ToString();
+  return {std::move(g), std::move(cgr.value()), 0};
+}
+
+// A twitter-style graph in the default layout; the hub is its
+// highest-degree node.
+HubCase TwitterCase() {
+  TwitterGraphParams params;
+  params.num_nodes = 4000;
+  params.num_hubs = 4;
+  params.seed = 91;
+  Graph g = GenerateTwitterGraph(params);
+  auto cgr = CgrGraph::Encode(g, CgrOptions{});
+  EXPECT_TRUE(cgr.ok()) << cgr.status().ToString();
+  NodeId hub = 0;
+  for (NodeId u = 0; u < g.num_nodes(); ++u) {
+    if (g.out_degree(u) > g.out_degree(hub)) hub = u;
+  }
+  return {std::move(g), std::move(cgr.value()), hub};
+}
+
+void ExpectHubSplitMatchesFull(const HubCase& c) {
+  // A one-node hub frontier: one chunk, several warps, and the same round
+  // on the serial and the parallel engine.
+  std::vector<simt::WarpStats> warps_s, warps_p;
+  std::vector<NodeId> next_s, next_p;
+  BfsFilter f_serial(c.graph.num_nodes()), f_parallel(c.graph.num_nodes());
+  f_serial.SetSource(c.hub);
+  f_parallel.SetSource(c.hub);
+  const std::vector<NodeId> frontier{c.hub};
+  CgrTraversalEngine serial(c.cgr, OptionsFor(GcgtLevel::kHubSplit, 1));
+  CgrTraversalEngine parallel(c.cgr, OptionsFor(GcgtLevel::kHubSplit, 4));
+  serial.ProcessFrontier(frontier, f_serial, &next_s, &warps_s);
+  parallel.ProcessFrontier(frontier, f_parallel, &next_p, &warps_p);
+  EXPECT_GT(warps_s.size(), 1u) << "the hub was not split";
+  EXPECT_EQ(next_s, next_p);
+  EXPECT_EQ(warps_s, warps_p);
+  for (size_t w = 1; w < warps_s.size(); ++w) {
+    EXPECT_GT(warps_s[w].start_cycles, 0.0) << "helper " << w;
+  }
+
+  for (int threads : {1, 4}) {
+    const GcgtOptions full = OptionsFor(GcgtLevel::kFull, threads);
+    const GcgtOptions split = OptionsFor(GcgtLevel::kHubSplit, threads);
+    auto bfs_full = GcgtBfs(c.cgr, c.hub, full);
+    auto bfs_split = GcgtBfs(c.cgr, c.hub, split);
+    ASSERT_TRUE(bfs_full.ok() && bfs_split.ok());
+    EXPECT_EQ(bfs_full.value().depth, bfs_split.value().depth) << threads;
+
+    auto cc_full = GcgtCc(c.cgr, full);
+    auto cc_split = GcgtCc(c.cgr, split);
+    ASSERT_TRUE(cc_full.ok() && cc_split.ok());
+    EXPECT_EQ(cc_full.value().component, cc_split.value().component)
         << threads;
-    EXPECT_EQ(serial.value().metrics.model_ms,
-              parallel.value().metrics.model_ms)
-        << threads;
+
+    auto bc_full = GcgtBc(c.cgr, c.hub, full);
+    auto bc_split = GcgtBc(c.cgr, c.hub, split);
+    ASSERT_TRUE(bc_full.ok() && bc_split.ok());
+    const std::vector<double>& a = bc_full.value().dependency;
+    const std::vector<double>& b = bc_split.value().dependency;
+    ASSERT_EQ(a.size(), b.size());
+    for (size_t v = 0; v < a.size(); ++v) {
+      const double scale = std::max({1.0, std::fabs(a[v]), std::fabs(b[v])});
+      ASSERT_LE(std::fabs(a[v] - b[v]), 1e-9 * scale)
+          << "node " << v << ", " << threads << " threads";
+    }
+  }
+
+  // Serial == parallel over whole traversals at the split level.
+  auto bc_serial = GcgtBc(c.cgr, c.hub, OptionsFor(GcgtLevel::kHubSplit, 1));
+  auto bc_parallel = GcgtBc(c.cgr, c.hub, OptionsFor(GcgtLevel::kHubSplit, 4));
+  ASSERT_TRUE(bc_serial.ok() && bc_parallel.ok());
+  EXPECT_EQ(bc_serial.value().dependency, bc_parallel.value().dependency);
+  EXPECT_EQ(bc_serial.value().metrics.warp, bc_parallel.value().metrics.warp);
+  EXPECT_EQ(bc_serial.value().metrics.model_ms,
+            bc_parallel.value().metrics.model_ms);
+}
+
+TEST(HubSplit, StarCenterMatchesFull) { ExpectHubSplitMatchesFull(StarCase()); }
+
+TEST(HubSplit, TwitterHubMatchesFull) {
+  ExpectHubSplitMatchesFull(TwitterCase());
+}
+
+TEST(HubSplit, ShortensTheHubRound) {
+  HubCase c = StarCase();
+  const std::vector<NodeId> frontier{c.hub};
+  auto round_cycles = [&](GcgtLevel level) {
+    CgrTraversalEngine engine(c.cgr, OptionsFor(level, 1));
+    BfsFilter filter(c.graph.num_nodes());
+    filter.SetSource(c.hub);
+    std::vector<NodeId> next;
+    std::vector<simt::WarpStats> warps;
+    engine.ProcessFrontier(frontier, filter, &next, &warps);
+    simt::KernelTimeline timeline(engine.options().cost);
+    timeline.AddKernel(warps);
+    return timeline.total_cycles();
+  };
+  EXPECT_LT(round_cycles(GcgtLevel::kHubSplit),
+            round_cycles(GcgtLevel::kFull) / 2);
+}
+
+// Byte codecs and the unsegmented layout have no segments to split: the
+// level behaves exactly as kFull there.
+TEST(HubSplit, UnsplittableLayoutsMatchFullExactly) {
+  Graph g = TwitterCase().graph;
+  for (CodecId codec : {CodecId::kCgr, CodecId::kStreamVByte}) {
+    CgrOptions options;
+    options.codec = codec;
+    options.segment_len_bytes = 0;
+    auto cgr = CgrGraph::Encode(g, options);
+    ASSERT_TRUE(cgr.ok()) << cgr.status().ToString();
+    auto full = GcgtBfs(cgr.value(), 0, OptionsFor(GcgtLevel::kFull, 4));
+    auto split = GcgtBfs(cgr.value(), 0, OptionsFor(GcgtLevel::kHubSplit, 4));
+    ASSERT_TRUE(full.ok() && split.ok());
+    EXPECT_EQ(full.value().depth, split.value().depth);
+    EXPECT_EQ(full.value().metrics.warp, split.value().metrics.warp);
+    EXPECT_EQ(full.value().metrics.model_ms, split.value().metrics.model_ms);
   }
 }
 

@@ -2,6 +2,11 @@
 // accounting, makespan scheduling.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <queue>
+#include <random>
+
 #include "simt/cost_model.h"
 #include "simt/machine.h"
 #include "simt/warp.h"
@@ -141,6 +146,78 @@ TEST(Makespan, StragglersDominate) {
 }
 
 TEST(Makespan, EmptyIsZero) { EXPECT_DOUBLE_EQ(Makespan({}, 8), 0.0); }
+
+// Greedy list scheduling over a min-heap of slot finish times, for every
+// input size: the reference Makespan's fast paths must reproduce exactly.
+double HeapMakespan(const std::vector<double>& warp_cycles, int slots) {
+  std::priority_queue<double, std::vector<double>, std::greater<>> finish;
+  double makespan = 0.0;
+  for (double c : warp_cycles) {
+    double start = 0.0;
+    if (static_cast<int>(finish.size()) >= std::max(slots, 1)) {
+      start = finish.top();
+      finish.pop();
+    }
+    finish.push(start + c);
+    makespan = std::max(makespan, start + c);
+  }
+  return makespan;
+}
+
+TEST(Makespan, FastPathsMatchHeapScheduleOnRandomInputs) {
+  std::mt19937_64 rng(2024);
+  std::uniform_real_distribution<double> cycles(0.0, 5000.0);
+  for (int trial = 0; trial < 50; ++trial) {
+    for (int slots : {1, 2, 7, 32, 640}) {
+      for (int n : {slots - 1, slots, slots + 1}) {
+        std::vector<double> warps(static_cast<size_t>(n));
+        for (double& c : warps) c = cycles(rng);
+        // Bit-identical, not merely close.
+        EXPECT_EQ(Makespan(warps, slots), HeapMakespan(warps, slots))
+            << "slots " << slots << " n " << n;
+      }
+    }
+    // slots <= 1 serializes every warp.
+    std::vector<double> warps(5);
+    for (double& c : warps) c = cycles(rng);
+    EXPECT_EQ(Makespan(warps, 0), HeapMakespan(warps, 1));
+    EXPECT_EQ(Makespan(warps, -3), HeapMakespan(warps, 1));
+  }
+}
+
+TEST(KernelTimeline, StragglerCyclesAreMakespanMinusBalancedBound) {
+  CostModel m;
+  m.kernel_launch_cycles = 0;
+  m.cycles_per_step = 1;
+  m.num_sms = 1;
+  m.warps_per_sm = 4;  // 4 slots
+  KernelTimeline tl(m);
+  WarpStats light, heavy;
+  light.steps = 10;
+  heavy.steps = 90;
+  tl.AddKernel({light, light, light, heavy});  // makespan 90, bound 120/4
+  EXPECT_DOUBLE_EQ(tl.straggler_cycles(), 90.0 - 30.0);
+  tl.AddKernel({light, light, light, light});  // balanced: no stragglers
+  EXPECT_DOUBLE_EQ(tl.straggler_cycles(), 60.0);
+  tl.Reset();
+  EXPECT_DOUBLE_EQ(tl.straggler_cycles(), 0.0);
+}
+
+TEST(KernelTimeline, WarpHoldsItsSlotFromItsStartCycles) {
+  CostModel m;
+  m.kernel_launch_cycles = 0;
+  m.cycles_per_step = 1;
+  KernelTimeline tl(m);
+  WarpStats owner, helper;
+  owner.steps = 100;
+  helper.steps = 30;
+  helper.start_cycles = 80;  // waits for a publish point 80 cycles in
+  tl.AddKernel({owner, helper});
+  EXPECT_DOUBLE_EQ(tl.total_cycles(), 110.0);
+  // start_cycles is a schedule offset, not a count: not aggregated.
+  EXPECT_EQ(tl.aggregate().steps, 130u);
+  EXPECT_DOUBLE_EQ(tl.aggregate().start_cycles, 0.0);
+}
 
 TEST(KernelTimeline, AccumulatesLaunchOverheadAndAggregates) {
   CostModel m;
