@@ -162,8 +162,11 @@ class WarpSim {
   }
 
   /// Owner warp over `chunk`. Under kHubSplit, `task_base` is the task-list
-  /// index of the first descriptor this warp publishes.
-  WarpStats Run(std::span<const NodeId> chunk, uint64_t task_base);
+  /// index of the first descriptor this warp publishes. `page`, when set,
+  /// holds the chunk's out-of-core fault and spill charges: the warp pays
+  /// them first, so they also precede its publish point.
+  WarpStats Run(std::span<const NodeId> chunk, uint64_t task_base,
+                const WarpStats* page);
 
   /// Helper warp running `task`, the task list's entry `task_index`.
   WarpStats RunHelper(const Hub& hub, const HelperTask& task,
@@ -1251,13 +1254,15 @@ WarpStats WarpSim::RunHelper(const Hub& hub, const HelperTask& task,
   return ctx_.TakeStats();
 }
 
-WarpStats WarpSim::Run(std::span<const NodeId> chunk, uint64_t task_base) {
+WarpStats WarpSim::Run(std::span<const NodeId> chunk, uint64_t task_base,
+                       const WarpStats* page) {
   label_filter_.NextWarp();
   offset_filter_.NextWarp();
   task_base_ = task_base;
   append_slots_ = 0;
   publish_stats_ = WarpStats{};
   publish_slots_ = 0;
+  if (page != nullptr) ctx_.Charge(*page);
   if (g_.options().codec != CodecId::kCgr) {
     // Byte codecs have no interval/residual split; the scheduling levels
     // collapse into one table-driven block walk.
@@ -1351,8 +1356,10 @@ struct EngineScratch {
   WarpSim serial_sim;
   // Out-of-core partition pager (disabled unless the graph is partitioned
   // and a resident budget is set). Driven serially in frontier order by
-  // ProcessFrontier's prologue.
+  // ProcessFrontier's prologue, which sums each chunk's fault and spill
+  // charges into chunk_pages (one entry per owner warp).
   ooc::PartitionPager pager;
+  std::vector<simt::WarpStats> chunk_pages;
 };
 
 }  // namespace internal
@@ -1398,15 +1405,22 @@ void CgrTraversalEngine::ProcessFrontier(std::span<const NodeId> frontier,
 
   // Pager prologue (serial, frontier order): fault in every partition this
   // round's expansion will decode from, pinning it so the round's own
-  // working set can't evict itself. The external-tier traffic is charged as
-  // one standalone maintenance WarpStats entry: faults and spills are not
-  // any warp's decode work, and a dedicated entry keeps the in-core mem_txns
-  // semantics untouched — which is what keeps results and all pre-existing
-  // charges bit-identical to the in-core run.
-  if (scratch.pager.enabled()) {
-    simt::WarpStats page;
-    for (NodeId u : frontier) {
-      const ooc::PartitionPager::Touch t = scratch.pager.TouchNode(u);
+  // working set can't evict itself. Each touch's external-tier traffic is
+  // charged to the owner warp of the chunk holding that frontier node, which
+  // pays it before anything else (so its helpers start after it): fault
+  // work runs in parallel across the round's warps instead of as one serial
+  // stream. Modelling assumption: a warp that decodes a partition another
+  // warp faulted in this round does not wait for that fault. The traffic
+  // stays in its own charge class, so mem_txns and every other charge stay
+  // bit-identical to the in-core run.
+  const uint32_t warp = static_cast<uint32_t>(options_.lanes);
+  const bool paged = scratch.pager.enabled();
+  if (paged) {
+    scratch.chunk_pages.assign((frontier.size() + warp - 1) / warp,
+                               simt::WarpStats{});
+    for (size_t i = 0; i < frontier.size(); ++i) {
+      const ooc::PartitionPager::Touch t = scratch.pager.TouchNode(frontier[i]);
+      simt::WarpStats& page = scratch.chunk_pages[i / warp];
       page.partition_faults += t.faults;
       page.partition_spills += t.spills;
       page.partition_pins += t.pins;
@@ -1414,7 +1428,6 @@ void CgrTraversalEngine::ProcessFrontier(std::span<const NodeId> frontier,
       page.spill_txns += t.spill_txns;
     }
     scratch.pager.EndRound();
-    warp_stats->push_back(page);
   }
 
   // Warp units. Under kHubSplit (segmented CGR only) every frontier node
@@ -1423,7 +1436,6 @@ void CgrTraversalEngine::ProcessFrontier(std::span<const NodeId> frontier,
   // node's segments 0..n-2 are segment_len_bytes long, so only a node
   // encoded in more than lanes * segment_len_bytes can be a hub; the host
   // decodes the segment count of those alone.
-  const uint32_t warp = static_cast<uint32_t>(options_.lanes);
   const uint64_t seg_len = graph_.options().segment_len_bytes;
   const bool split = options_.level >= GcgtLevel::kHubSplit &&
                      graph_.options().codec == CodecId::kCgr && seg_len != 0;
@@ -1462,7 +1474,8 @@ void CgrTraversalEngine::ProcessFrontier(std::span<const NodeId> frontier,
       const HelperTask& t = scratch.tasks[unit.task];
       return sim.RunHelper(scratch.hubs[t.hub], t, unit.task);
     }
-    return sim.Run(frontier.subspan(unit.off, unit.size), unit.task);
+    return sim.Run(frontier.subspan(unit.off, unit.size), unit.task,
+                   paged ? &scratch.chunk_pages[unit.off / warp] : nullptr);
   };
 
   // Serial reference path: one unit at a time, filter decisions inline.

@@ -55,10 +55,12 @@ struct GcgtOptions {
   /// partitions in through the PartitionPager (LRU spill, pin/unpin per
   /// round) and the moved lines are charged as the external-tier class
   /// (WarpStats::fault_txns/spill_txns, CostModel::
-  /// external_latency_multiplier). Results and labels stay bit-identical to
-  /// the in-core engine at every budget; only wall time and the new modeled
-  /// charges differ. The pager is reset at every query start, so every query
-  /// starts cold and metrics stay deterministic.
+  /// external_latency_multiplier) to the warp whose chunk holds the touched
+  /// node; no warp waits for a fault another warp issued in the same
+  /// round. Results and labels stay bit-identical to the in-core engine at
+  /// every budget; only wall time and the new modeled charges differ. The
+  /// pager is reset at every query start, so every query starts cold and
+  /// metrics stay deterministic.
   uint64_t ooc_resident_bytes = 0;
   /// Intersection queries (src/intersect) normally intersect the COMPRESSED
   /// adjacency representations directly (interval-vs-interval run overlap,

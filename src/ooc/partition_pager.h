@@ -12,7 +12,10 @@
 // overlay: the encoded bits stay in host RAM and decode behaves identically;
 // what the pager changes is the device-budget accounting (TraversalPipeline
 // counts only the resident budget) and the external-tier charges in
-// WarpStats.
+// WarpStats. Those charges land on the warp whose chunk holds the touched
+// node, so a round's faults run in parallel across its warps; the model
+// assumes no wait, i.e. a warp decoding a partition that another warp
+// faulted in the same round does not wait for that fault.
 #ifndef GCGT_OOC_PARTITION_PAGER_H_
 #define GCGT_OOC_PARTITION_PAGER_H_
 
@@ -31,8 +34,9 @@ namespace gcgt::ooc {
 /// order, EndRound after each frontier.
 class PartitionPager {
  public:
-  /// External-tier traffic caused by one TouchNode call; the engine folds
-  /// these into the round's maintenance WarpStats entry.
+  /// External-tier traffic caused by one TouchNode call; the engine adds
+  /// it to the WarpStats of the warp whose chunk holds the node (no warp
+  /// waits for a fault another warp issued).
   struct Touch {
     uint64_t faults = 0;      ///< 1 when the node's partition faulted in
     uint64_t fault_txns = 0;  ///< directory line + payload lines moved in

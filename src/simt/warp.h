@@ -579,6 +579,10 @@ class WarpContext {
   /// charged again through MemAccess* this warp, or they would double count.
   void ChargeTransactions(uint64_t count) { stats_.mem_txns += count; }
 
+  /// Adds charges counted outside the warp walk (the out-of-core pager's
+  /// fault and spill traffic for the warp's chunk).
+  void Charge(const WarpStats& s) { stats_ += s; }
+
   const WarpStats& stats() const { return stats_; }
   WarpStats TakeStats() {
     WarpStats s = stats_;

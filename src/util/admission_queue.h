@@ -1,8 +1,7 @@
 // Priority- and deadline-aware bounded admission queue for the serving tier.
 //
-// BoundedQueue (util/bounded_queue.h) is a plain FIFO: under burst load a
-// deep queue lets deadline-doomed work starve feasible queries. This queue
-// replaces it at the GcgtService front end with three overload-control
+// A plain FIFO lets deadline-doomed work starve feasible queries under
+// burst load. This queue fronts GcgtService with three overload-control
 // mechanisms, all deterministic for a fixed (clock, arrival, pop) trace:
 //
 //  - Strict priority classes + EDF. Entries are kept in one ordered map per
@@ -27,14 +26,14 @@
 //    the shed rate tracks the drain rate, standing-queue delay is bounded,
 //    and a single sub-target pop resets the controller.
 //
-// FIFO mode (`AdmissionQueueOptions::edf = false`) restores BoundedQueue
-// semantics exactly — one global arrival-order queue, no sweeping, no
-// shedding — and is the A/B baseline the overload bench compares against.
+// FIFO mode (`AdmissionQueueOptions::edf = false`) is a plain bounded MPMC
+// FIFO — one global arrival-order queue, no sweeping, no shedding — and is
+// the A/B baseline the overload bench compares against.
 //
-// Contracts shared with BoundedQueue: Push blocks while full and returns
-// false only once closed (a failed Push never consumes the item); TryPush
-// sheds instead of blocking; after Close, Pop drains every accepted entry
-// (as an item, an expiry, or a shed) before reporting open=false. The clock
+// Contracts in both modes: Push blocks while full and returns false only
+// once closed (a failed Push never consumes the item); TryPush sheds
+// instead of blocking; after Close, Pop drains every accepted entry (as an
+// item, an expiry, or a shed) before reporting open=false. The clock
 // is injectable (`now_fn`) so EDF ordering, sweeping and shedding are unit-
 // testable without real sleeps.
 #ifndef GCGT_UTIL_ADMISSION_QUEUE_H_

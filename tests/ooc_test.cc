@@ -1,7 +1,8 @@
 // Out-of-core tier tests: partition planning, sharded CGR encode
 // (byte-identical to the serial encode across thread counts), the container
 // format (round-trip, corruption rejection, atomic writes), the LRU
-// partition pager's deterministic fault/spill/pin protocol, and the serving
+// partition pager's deterministic fault/spill/pin protocol, the engine's
+// placement of each fault on the warp that touches it, and the serving
 // contract — container-backed paged sessions produce BIT-IDENTICAL BFS/CC/BC
 // results to in-core runs at every budget, an artifact too big for the
 // device is still served on the requested backend once paged, and
@@ -12,6 +13,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <memory>
+#include <numeric>
 #include <span>
 #include <string>
 #include <utility>
@@ -19,7 +21,11 @@
 
 #include "api/gcgt_session.h"
 #include "cgr/cgr_graph.h"
+#include "core/cc_filter.h"
+#include "core/cgr_traversal.h"
+#include "core/gcgt_options.h"
 #include "graph/generators.h"
+#include "simt/machine.h"
 #include "ooc/cgr_container.h"
 #include "ooc/partition_pager.h"
 #include "service/gcgt_service.h"
@@ -386,6 +392,175 @@ TEST(PartitionPagerTest, ZeroBudgetDisables) {
 }
 
 // ---------------------------------------------------------------------------
+// Engine charge placement: a paged round charges each touch to the owner
+// warp of the chunk holding the touched node, never to a standalone entry.
+
+// A twitter-style graph (super-hubs, default segmented layout) encoded in 8
+// partitions, a budget of a quarter of its bytes, and two CC rounds: a
+// warm-up over the upper half of the nodes, which leaves unpinned
+// partitions resident, then a whole-frontier round (every node, as CC's
+// first round expands) that starts at the highest-degree node, so the
+// chunk that splits off helper warps faults too, and that spills.
+struct PagedTwitter {
+  Graph graph;
+  CgrGraph cgr;
+  uint64_t budget = 0;
+  std::vector<NodeId> warm_up;
+  std::vector<NodeId> whole;
+};
+
+PagedTwitter MakePagedTwitter() {
+  TwitterGraphParams params;
+  params.num_nodes = 4000;
+  params.num_hubs = 4;
+  params.seed = 91;
+  PagedTwitter c;
+  c.graph = GenerateTwitterGraph(params);
+  auto cgr = CgrGraph::EncodePartitioned(c.graph, CgrOptions{}, 8);
+  EXPECT_TRUE(cgr.ok()) << cgr.status().ToString();
+  c.cgr = std::move(cgr.value());
+  c.budget = c.cgr.bits().size() / 4;
+  const NodeId n = c.graph.num_nodes();
+  NodeId hub = 0;
+  for (NodeId u = 0; u < n; ++u) {
+    if (c.graph.out_degree(u) > c.graph.out_degree(hub)) hub = u;
+  }
+  c.warm_up.resize(n - n / 2);
+  std::iota(c.warm_up.begin(), c.warm_up.end(), n / 2);
+  c.whole.resize(n);
+  std::iota(c.whole.begin(), c.whole.end(), 0);
+  std::rotate(c.whole.begin(), c.whole.begin() + hub, c.whole.end());
+  return c;
+}
+
+// The warps of the whole-frontier round, run after the warm-up round.
+std::vector<simt::WarpStats> WholeRoundWarps(const PagedTwitter& c,
+                                             const GcgtOptions& o) {
+  CgrTraversalEngine engine(c.cgr, o);
+  CcFilter filter(c.graph.num_nodes());
+  std::vector<NodeId> next;
+  std::vector<simt::WarpStats> warps;
+  engine.ProcessFrontier(c.warm_up, filter, &next, &warps);
+  next.clear();
+  warps.clear();
+  engine.ProcessFrontier(c.whole, filter, &next, &warps);
+  return warps;
+}
+
+simt::WarpStats PageCharges(const simt::WarpStats& w) {
+  simt::WarpStats page;
+  page.partition_faults = w.partition_faults;
+  page.partition_spills = w.partition_spills;
+  page.partition_pins = w.partition_pins;
+  page.fault_txns = w.fault_txns;
+  page.spill_txns = w.spill_txns;
+  return page;
+}
+
+TEST(OocEngine, PagedRoundChargesEachTouchToItsOwnerWarp) {
+  const PagedTwitter c = MakePagedTwitter();
+  const NodeId n = c.graph.num_nodes();
+  for (GcgtLevel level : {GcgtLevel::kFull, GcgtLevel::kHubSplit}) {
+    for (int threads : {1, 4}) {
+      SCOPED_TRACE(std::string(GcgtLevelName(level)) + ", " +
+                   std::to_string(threads) + " threads");
+      GcgtOptions o;
+      o.level = level;
+      o.lanes = 8;  // 8-lane warps split the graph's hubs
+      o.num_threads = threads;
+      const std::vector<simt::WarpStats> incore = WholeRoundWarps(c, o);
+      o.ooc_resident_bytes = c.budget;
+      const std::vector<simt::WarpStats> paged = WholeRoundWarps(c, o);
+
+      // One entry per warp unit: no standalone pager entry.
+      ASSERT_EQ(paged.size(), incore.size());
+      const size_t lanes = static_cast<size_t>(o.lanes);
+      const size_t chunks = (n + lanes - 1) / lanes;
+      if (level == GcgtLevel::kFull) {
+        EXPECT_EQ(paged.size(), chunks);
+      }
+
+      // The same touches on a stand-alone pager, summed per chunk.
+      PartitionPager ref;
+      ref.Configure(c.cgr.partitions(), c.budget, o.cost.cache_line_bytes);
+      for (NodeId u : c.warm_up) ref.TouchNode(u);
+      ref.EndRound();
+      const uint64_t warm_faults = ref.faults(), warm_spills = ref.spills();
+      const uint64_t warm_pins = ref.pins();
+      std::vector<simt::WarpStats> want(chunks);
+      for (size_t i = 0; i < c.whole.size(); ++i) {
+        const PartitionPager::Touch t = ref.TouchNode(c.whole[i]);
+        simt::WarpStats& page = want[i / lanes];
+        page.partition_faults += t.faults;
+        page.partition_spills += t.spills;
+        page.partition_pins += t.pins;
+        page.fault_txns += t.fault_txns;
+        page.spill_txns += t.spill_txns;
+      }
+      ASSERT_GT(ref.spills(), warm_spills);
+
+      // Owners (start 0) carry their chunk's page charges on top of the
+      // in-core charges; helpers carry none and start after their owner's
+      // fault cycles.
+      simt::WarpStats sum;
+      size_t chunk = 0, owners = 0, paged_helpers = 0;
+      for (size_t w = 0; w < paged.size(); ++w) {
+        const simt::WarpStats page = PageCharges(paged[w]);
+        simt::WarpStats rest = paged[w];
+        rest.partition_faults = rest.partition_pins = rest.partition_spills = 0;
+        rest.fault_txns = rest.spill_txns = 0;
+        rest.start_cycles = incore[w].start_cycles;
+        EXPECT_EQ(rest, incore[w]) << "warp " << w;
+        sum += page;
+        if (incore[w].start_cycles == 0) {
+          chunk = owners++;
+          ASSERT_LT(chunk, chunks);
+          EXPECT_EQ(page, want[chunk]) << "owner of chunk " << chunk;
+          continue;
+        }
+        EXPECT_EQ(page, simt::WarpStats{}) << "helper " << w;
+        const double fault_cycles = want[chunk].Cycles(o.cost);
+        EXPECT_NEAR(paged[w].start_cycles - incore[w].start_cycles,
+                    fault_cycles, 1e-9 * paged[w].start_cycles)
+            << "helper " << w;
+        if (fault_cycles > 0) ++paged_helpers;
+      }
+      EXPECT_EQ(owners, chunks);
+      if (level == GcgtLevel::kHubSplit) {
+        EXPECT_GT(paged_helpers, 0u);
+      }
+      EXPECT_EQ(sum.partition_faults, ref.faults() - warm_faults);
+      EXPECT_EQ(sum.partition_spills, ref.spills() - warm_spills);
+      EXPECT_EQ(sum.partition_pins, ref.pins() - warm_pins);
+      simt::WarpStats want_sum;
+      for (const simt::WarpStats& page : want) want_sum += page;
+      EXPECT_EQ(sum.fault_txns, want_sum.fault_txns);
+      EXPECT_EQ(sum.spill_txns, want_sum.spill_txns);
+    }
+  }
+}
+
+// The win itself: spread over the round's warps, the fault stream no longer
+// bounds the kernel from below.
+TEST(OocEngine, WholeFrontierRoundMakespanBelowItsFaultCycles) {
+  const PagedTwitter c = MakePagedTwitter();
+  GcgtOptions o;
+  o.ooc_resident_bytes = c.budget;
+  const std::vector<simt::WarpStats> warps = WholeRoundWarps(c, o);
+  simt::KernelTimeline timeline(o.cost);
+  timeline.AddKernel(warps);
+  const double makespan = timeline.total_cycles() - o.cost.kernel_launch_cycles;
+  double fault_cycles = 0;
+  for (const simt::WarpStats& w : warps) {
+    fault_cycles += o.cost.cycles_per_mem_txn *
+                    o.cost.external_latency_multiplier *
+                    static_cast<double>(w.fault_txns + w.spill_txns);
+  }
+  EXPECT_GT(timeline.aggregate().partition_spills, 0u);
+  EXPECT_LT(makespan, fault_cycles);
+}
+
+// ---------------------------------------------------------------------------
 // Session-level serving contract
 
 void ExpectSameAnswers(const QueryResult& got, const QueryResult& want) {
@@ -457,29 +632,59 @@ TEST(OocSession, PagedResultsBitIdenticalToInCoreAtEveryBudget) {
 }
 
 TEST(OocSession, PagedRunsDeterministicAcrossThreadCounts) {
-  Graph g = WebGraph(1000, 23);
-  std::vector<QueryResult> baseline;
-  for (int threads : {1, 4}) {
-    PrepareOptions popt;
-    popt.ooc_partitions = 4;
-    popt.gcgt.ooc_resident_bytes = 1 + g.num_edges() / 4;  // force spills
-    popt.gcgt.num_threads = threads;
-    auto session = GcgtSession::Prepare(g, popt);
-    ASSERT_TRUE(session.ok());
-    auto r = session.value().Run(BfsQuery{2}, {.backend = Backend::kCgrSimt});
-    ASSERT_TRUE(r.ok());
-    if (threads == 1) {
-      baseline.push_back(std::move(r).value());
-    } else {
-      const TraversalMetrics& a = baseline[0].metrics();
-      const TraversalMetrics& b = r.value().metrics();
-      EXPECT_EQ(a.warp.partition_faults, b.warp.partition_faults);
-      EXPECT_EQ(a.warp.partition_spills, b.warp.partition_spills);
-      EXPECT_EQ(a.warp.fault_txns, b.warp.fault_txns);
-      EXPECT_EQ(a.warp.spill_txns, b.warp.spill_txns);
-      EXPECT_EQ(a.resident_bytes_peak, b.resident_bytes_peak);
-      EXPECT_EQ(a.model_ms, b.model_ms);
-      EXPECT_EQ(baseline[0].bfs().depth, r.value().bfs().depth);
+  // BFS on a web graph; CC and BC on a twitter-style graph whose hubs the
+  // 8-lane warps split across helper warps, so paged hub rounds are covered
+  // too.
+  TwitterGraphParams tp;
+  tp.num_nodes = 4000;
+  tp.num_hubs = 4;
+  tp.seed = 91;
+  struct Case {
+    Graph graph;
+    std::vector<Query> queries;
+  };
+  std::vector<Case> cases;
+  cases.push_back({WebGraph(1000, 23), {BfsQuery{2}}});
+  cases.push_back({GenerateTwitterGraph(tp), {CcQuery{}, BcQuery{{0, 7}}}});
+  for (const Case& c : cases) {
+    for (GcgtLevel level : {GcgtLevel::kFull, GcgtLevel::kHubSplit}) {
+      std::vector<QueryResult> baseline;
+      for (int threads : {1, 2, 4}) {
+        SCOPED_TRACE(std::string(GcgtLevelName(level)) + ", " +
+                     std::to_string(threads) + " threads");
+        PrepareOptions popt;
+        popt.ooc_partitions = 8;
+        popt.gcgt.level = level;
+        popt.gcgt.lanes = 8;
+        popt.gcgt.ooc_resident_bytes = 1 + c.graph.num_edges() / 8;
+        popt.gcgt.num_threads = threads;
+        auto session = GcgtSession::Prepare(c.graph, popt);
+        ASSERT_TRUE(session.ok());
+        for (size_t i = 0; i < c.queries.size(); ++i) {
+          auto r = session.value().Run(c.queries[i],
+                                       {.backend = Backend::kCgrSimt});
+          ASSERT_TRUE(r.ok());
+          if (threads == 1) {
+            // CC's first round pins every partition, so only BFS and BC
+            // fault again later and spill.
+            if (r.value().kind() != QueryKind::kCc) {
+              EXPECT_GT(r.value().metrics().warp.partition_spills, 0u);
+            }
+            baseline.push_back(std::move(r).value());
+            continue;
+          }
+          const TraversalMetrics& a = baseline[i].metrics();
+          const TraversalMetrics& b = r.value().metrics();
+          EXPECT_EQ(a.warp.partition_faults, b.warp.partition_faults);
+          EXPECT_EQ(a.warp.partition_spills, b.warp.partition_spills);
+          EXPECT_EQ(a.warp.fault_txns, b.warp.fault_txns);
+          EXPECT_EQ(a.warp.spill_txns, b.warp.spill_txns);
+          EXPECT_EQ(a.resident_bytes_peak, b.resident_bytes_peak);
+          EXPECT_EQ(a.model_ms, b.model_ms);
+          EXPECT_EQ(a.straggler_cycles, b.straggler_cycles);
+          ExpectSameAnswers(r.value(), baseline[i]);
+        }
+      }
     }
   }
 }

@@ -2,7 +2,8 @@
 //  - AdmissionQueue: strict classes + EDF within a class (deterministic for
 //    a fixed clock/arrival/pop trace), lazy expiry sweeping (doomed entries
 //    never surface as work), CoDel-style sojourn shedding from the back of
-//    the lowest class, FIFO mode restores legacy semantics, close drains,
+//    the lowest class, FIFO mode keeps arrival order and delivers every
+//    item exactly once under MPMC load, close drains,
 //  - TokenBucket: burst-then-sustained admission as a pure function of the
 //    call trace,
 //  - the service under overload: interactive work survives a best-effort
@@ -15,6 +16,7 @@
 //    oracle.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <future>
@@ -243,6 +245,55 @@ TEST(AdmissionQueue, FifoModeIsArrivalOrderWithNoSweepingOrShedding) {
     order.push_back(*out.item);
   }
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+}
+
+TEST(AdmissionQueue, FifoModeMpmcDeliversEveryItemExactlyOnce) {
+  constexpr int kProducers = 4, kConsumers = 3, kPerProducer = 500;
+  // Tiny capacity forces producers into backpressure waits.
+  AdmissionQueue<int> q({.capacity = 5, .edf = false});
+  std::atomic<long long> sum{0};
+  std::atomic<int> popped{0};
+  std::atomic<int> out_of_order{0};
+
+  std::vector<std::thread> consumers;
+  for (int c = 0; c < kConsumers; ++c) {
+    consumers.emplace_back([&] {
+      // FIFO: each consumer sees every producer's items in push order.
+      std::vector<int> last(kProducers, -1);
+      for (;;) {
+        auto out = q.Pop();
+        if (!out.open) break;
+        ASSERT_TRUE(out.item.has_value());
+        const int item = *out.item;
+        int& prev = last[item / kPerProducer];
+        if (item <= prev) out_of_order.fetch_add(1);
+        prev = item;
+        sum.fetch_add(item);
+        popped.fetch_add(1);
+      }
+    });
+  }
+  std::vector<std::thread> producers;
+  for (int p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&, p] {
+      for (int i = 0; i < kPerProducer; ++i) {
+        int item = p * kPerProducer + i;
+        ASSERT_TRUE(q.Push(item, QueryPriority::kBatch));
+      }
+    });
+  }
+  for (auto& t : producers) t.join();
+  q.Close();
+  for (auto& t : consumers) t.join();
+
+  constexpr long long kTotal = kProducers * kPerProducer;
+  EXPECT_EQ(popped.load(), kTotal);
+  EXPECT_EQ(sum.load(), kTotal * (kTotal - 1) / 2);
+  EXPECT_EQ(out_of_order.load(), 0);
+  const AdmissionQueueStats stats = q.Stats();
+  EXPECT_EQ(stats.pushed, static_cast<uint64_t>(kTotal));
+  EXPECT_EQ(stats.popped, static_cast<uint64_t>(kTotal));
+  EXPECT_EQ(stats.expired + stats.shed, 0u);
 }
 
 TEST(AdmissionQueue, CloseDrainsThenReportsClosed) {

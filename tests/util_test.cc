@@ -1,14 +1,10 @@
-// Tests for util: bit streams, zigzag, Status/Result, RNG, thread pool,
-// bounded MPMC queue.
+// Tests for util: bit streams, zigzag, Status/Result, RNG, thread pool.
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <memory>
 #include <numeric>
-#include <thread>
 
 #include "util/bit_stream.h"
-#include "util/bounded_queue.h"
 #include "util/random.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
@@ -385,128 +381,6 @@ TEST(ThreadPool, EmptyAndTinyRanges) {
     sum.fetch_add(static_cast<int>(e - b));
   });
   EXPECT_EQ(sum.load(), 3);
-}
-
-TEST(BoundedQueue, FifoOrderAndCapacityOnOneThread) {
-  BoundedQueue<int> q(3);
-  EXPECT_EQ(q.capacity(), 3u);
-  for (int i = 0; i < 3; ++i) {
-    int item = i;
-    EXPECT_EQ(q.TryPush(item), BoundedQueue<int>::PushResult::kOk);
-  }
-  int overflow = 99;
-  EXPECT_EQ(q.TryPush(overflow), BoundedQueue<int>::PushResult::kFull);
-  EXPECT_EQ(overflow, 99);  // a shed item is left unconsumed
-  EXPECT_EQ(q.size(), 3u);
-  for (int i = 0; i < 3; ++i) EXPECT_EQ(q.Pop(), i);
-}
-
-TEST(BoundedQueue, CloseDrainsThenStops) {
-  BoundedQueue<int> q(8);
-  for (int i = 0; i < 4; ++i) {
-    int item = i;
-    ASSERT_TRUE(q.Push(item));
-  }
-  q.Close();
-  int late = 7;
-  EXPECT_FALSE(q.Push(late));
-  EXPECT_EQ(q.TryPush(late), BoundedQueue<int>::PushResult::kClosed);
-  // Accepted items drain in order; only then does Pop report closed.
-  for (int i = 0; i < 4; ++i) EXPECT_EQ(q.Pop(), i);
-  EXPECT_EQ(q.Pop(), std::nullopt);
-  EXPECT_TRUE(q.closed());
-}
-
-TEST(BoundedQueue, MpmcStressDeliversEveryItemExactlyOnce) {
-  constexpr int kProducers = 4, kConsumers = 3, kPerProducer = 500;
-  BoundedQueue<int> q(5);  // tiny: forces producers into backpressure waits
-  std::atomic<long long> sum{0};
-  std::atomic<int> popped{0};
-
-  std::vector<std::thread> consumers;
-  for (int c = 0; c < kConsumers; ++c) {
-    consumers.emplace_back([&] {
-      while (auto item = q.Pop()) {
-        sum.fetch_add(*item);
-        popped.fetch_add(1);
-      }
-    });
-  }
-  std::vector<std::thread> producers;
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&, p] {
-      for (int i = 0; i < kPerProducer; ++i) {
-        int item = p * kPerProducer + i;
-        ASSERT_TRUE(q.Push(item));
-      }
-    });
-  }
-  for (auto& t : producers) t.join();
-  q.Close();
-  for (auto& t : consumers) t.join();
-
-  constexpr long long kTotal = kProducers * kPerProducer;
-  EXPECT_EQ(popped.load(), kTotal);
-  EXPECT_EQ(sum.load(), kTotal * (kTotal - 1) / 2);
-}
-
-TEST(BoundedQueue, PushAfterCloseLeavesTheItemUnconsumed) {
-  // Load-bearing for the service's "every accepted future is fulfilled"
-  // guarantee: a failed push must leave the caller owning the item so it
-  // can fail the item's promise itself.
-  BoundedQueue<std::unique_ptr<int>> q(4);
-  q.Close();
-  auto item = std::make_unique<int>(7);
-  EXPECT_FALSE(q.Push(item));
-  ASSERT_NE(item, nullptr);  // not moved-from
-  EXPECT_EQ(*item, 7);
-  EXPECT_EQ(q.TryPush(item), BoundedQueue<std::unique_ptr<int>>::PushResult::kClosed);
-  ASSERT_NE(item, nullptr);
-  EXPECT_EQ(*item, 7);
-}
-
-TEST(BoundedQueue, ConcurrentCloseEveryPushLandsOrFailsCleanly) {
-  // Producers race Close(): every item is either popped exactly once by the
-  // drain or still owned by its producer — no third outcome, no loss.
-  constexpr int kProducers = 4;
-  constexpr int kPerProducer = 64;
-  BoundedQueue<std::unique_ptr<int>> q(16);
-  std::atomic<int> accepted{0}, refused{0};
-  std::vector<std::thread> producers;
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&, p] {
-      for (int i = 0; i < kPerProducer; ++i) {
-        auto item = std::make_unique<int>(p * kPerProducer + i);
-        if (q.Push(item)) {
-          ++accepted;
-        } else {
-          ++refused;
-          ASSERT_NE(item, nullptr);  // the Push-after-Close contract
-        }
-      }
-    });
-  }
-  std::atomic<int> popped{0};
-  std::thread consumer([&] {
-    while (q.Pop()) ++popped;
-  });
-  // Let some traffic through, then slam the door mid-stream.
-  while (popped.load() < 8) std::this_thread::yield();
-  q.Close();
-  for (auto& t : producers) t.join();
-  consumer.join();
-  EXPECT_EQ(accepted.load() + refused.load(), kProducers * kPerProducer);
-  EXPECT_EQ(popped.load(), accepted.load());  // drained exactly once each
-}
-
-TEST(BoundedQueue, MoveOnlyItems) {
-  BoundedQueue<std::unique_ptr<int>> q(2);
-  auto item = std::make_unique<int>(42);
-  ASSERT_TRUE(q.Push(item));
-  EXPECT_EQ(item, nullptr);  // consumed on acceptance
-  auto out = q.Pop();
-  ASSERT_TRUE(out.has_value());
-  EXPECT_EQ(**out, 42);
 }
 
 }  // namespace
